@@ -7,8 +7,16 @@ vertices per part spans a d-tuple of 2-dimensional subspaces annihilating
 T, so deleting all edges inside products of such tuples leaves a box-free
 hypergraph.  This module builds the hypergraph, finds a map with few
 annihilated plane tuples by a seeded pigeonhole scan, performs the
-deletion, and verifies freeness by brute force, recording every exact
-count in a certificate.
+deletion, and verifies freeness, recording every exact count in a
+certificate.
+
+The build contracts the first d - 1 slots point by point, each prefix
+once, and reads the zero points of the last slot off a kernel basis.
+Freeness is checked by link intersection: two part-0 vertices can only
+lie in a common box through link elements (the other d - 1 coordinates
+of an edge) they share, so the scan pairs edges with a shared tail and
+recurses on the intersection of the two links.  Its cap charge is the
+number of such pairs, counted before the scan.
 
 The certificate never asserts the asymptotic edge-retention claim: at
 small q the deletion budget (q+1)^d |D| can exceed the edge count, so
@@ -17,7 +25,9 @@ only the exact inequalities and verified freeness are recorded.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,10 +39,10 @@ from .errors import (
     check_cap,
 )
 from .field import Field
-from .grassmann import Subspace, gauss_binom
+from .grassmann import Subspace, gauss_binom, kernel_basis, rref
 from .isotropy import DEFAULT_TENSOR_CAP, count_plane_tuples, isotropic_plane_tuples
 from .prng import SplitMix64
-from .tensor import Tensor, tensor_eval
+from .tensor import Tensor, _contract_first
 from .rank import zero_count
 
 
@@ -55,14 +65,23 @@ def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
     return out
 
 
-def _canonical_point(field: Field, v: Sequence[int]) -> tuple:
-    for c in v:
-        if c:
-            if c == field.one:
-                return tuple(v)
-            inv = field.inv(c)
-            return tuple(field.mul(inv, x) for x in v)
-    raise PreconditionError("zero vector has no projective class")
+def _span_points(field: Field, rows: Sequence[tuple]) -> list:
+    """Canonical projective points of span(rows), for rows in reduced row
+    echelon form: row i plus any combination of the rows after it has its
+    first nonzero entry, a one, at row i's pivot."""
+    mul = field.mul_func()
+    add = field.add_func()
+    out = []
+    for i, lead in enumerate(rows):
+        for coefs in itertools.product(field.elements(), repeat=len(rows) - i - 1):
+            v = list(lead)
+            for c, row in zip(coefs, rows[i + 1 :]):
+                if c:
+                    for j, x in enumerate(row):
+                        if x:
+                            v[j] = add(v[j], mul(c, x))
+            out.append(tuple(v))
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,13 +109,25 @@ class Hypergraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hypergraph":
-        return cls(
-            d=data["d"],
-            parts=tuple(
-                tuple(tuple(v) for v in part) for part in data["parts"]
-            ),
-            edges=frozenset(tuple(e) for e in data["edges"]),
-        )
+        """Inverse of ``to_dict``; rejects a document whose edges do not
+        have arity d or index a vertex outside their part."""
+        try:
+            d, raw_parts, raw_edges = data["d"], data["parts"], data["edges"]
+            parts = tuple(tuple(tuple(v) for v in part) for part in raw_parts)
+            edges = frozenset(tuple(e) for e in raw_edges)
+        except (KeyError, TypeError) as exc:
+            raise PreconditionError(f"malformed hypergraph document: {exc}") from exc
+        if type(d) is not int or d < 1 or len(parts) != d:
+            raise PreconditionError(
+                f"need an integer d >= 1 and d parts, got d={d!r} and {len(parts)} parts"
+            )
+        for e in edges:
+            if len(e) != d or any(
+                type(i) is not int or not 0 <= i < len(part)
+                for i, part in zip(e, parts)
+            ):
+                raise PreconditionError(f"bad edge {list(e)!r}")
+        return cls(d=d, parts=parts, edges=edges)
 
     def to_text(self, header: str = "") -> str:
         """Plain edge list, one 'v1 v2 ... vd' line per edge."""
@@ -118,6 +149,8 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         d, n, q, m = (int(tok) for tok in lines[0][1:].split())
     except ValueError as exc:
         raise PreconditionError(f"malformed header {lines[0]!r}") from exc
+    if d < 1 or n < 0:
+        raise PreconditionError(f"need d >= 1 and n >= 0 in header {lines[0]!r}")
     points = tuple(projective_points(field_of_order(q), n + 1))
     edges = set()
     for ln in lines[1:]:
@@ -130,18 +163,34 @@ def hypergraph_from_text(text: str) -> Hypergraph:
 
 def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     """Hypergraph on d copies of P^(n)(F_q) (ambient dimension T.n) whose
-    edges are exactly the projective zero tuples of T."""
+    edges are exactly the projective zero tuples of T.
+
+    The first d - 1 slots are contracted point by point, sharing each
+    prefix; the last slot's zero points are the projective points of the
+    kernel of the remaining m x N matrix."""
     if not isinstance(T, Tensor):
         raise PreconditionError("the hypergraph needs a dense multilinear tensor")
-    field = T.field
-    points = projective_points(field, T.n, cap)
+    field, N, m = T.field, T.n, T.m
+    points = projective_points(field, N, cap)
     npts = len(points)
     check_cap(npts**T.d, cap, "edge enumeration")
-    zero = (0,) * T.m
+    index = {v: i for i, v in enumerate(points)}
     edges = []
-    for combo in itertools.product(range(npts), repeat=T.d):
-        if tensor_eval(T, [points[i] for i in combo]) == zero:
-            edges.append(combo)
+
+    def last_slot(block):
+        kernel = kernel_basis(field, [block[o * N : (o + 1) * N] for o in range(m)], N)
+        if len(kernel) == N:
+            return range(npts)
+        return [index[v] for v in _span_points(field, rref(field, kernel)[0])]
+
+    def extend(block, order, prefix):
+        if order == 1:
+            edges.extend(prefix + (i,) for i in last_slot(block))
+            return
+        for i, v in enumerate(points):
+            extend(_contract_first(field, block, m, N, order, v), order - 1, prefix + (i,))
+
+    extend(T.coeffs, T.d, ())
     return Hypergraph(d=T.d, parts=(tuple(points),) * T.d, edges=frozenset(edges))
 
 
@@ -173,44 +222,92 @@ def edge_lower_bound(T: Tensor, H: Optional[Hypergraph] = None, cap: int = DEFAU
     return result
 
 
+def _link_boxes(edges: list, k: int):
+    """Yield the complete 2-per-part sub-boxes of a set of k-tuples, given
+    sorted, each once as ((x_1, y_1), ..., (x_k, y_k)) with x_i < y_i.
+
+    Boxes come in the order of (x_1, ..., x_k, y_1, ..., y_k), which is
+    the order in which a scan over sorted edge pairs e < f first meets
+    each box (at e = x, f = y).  For each first coordinate a, an inverse
+    index gives the first coordinates b > a sharing a link element (the
+    rest of an edge) with a; a pair sharing at least 2^(k-1) of them
+    recurses on the intersection of the two links, and the boxes of all
+    such b are merged in order.  For k = 2 this is the classical
+    O(sum deg^2) 4-cycle search."""
+    if k == 1:
+        for x, y in itertools.combinations([e[0] for e in edges], 2):
+            yield ((x, y),)
+        return
+    links = {}
+    owners = {}
+    for e in edges:
+        links.setdefault(e[0], []).append(e[1:])
+        owners.setdefault(e[1:], []).append(e[0])
+    passed = dict.fromkeys(owners, 0)  # owners of t already taken as a
+    need = 2 ** (k - 1)
+    for a, link in links.items():
+        later = []  # per link element t of a: the owners b > a of t
+        for t in link:
+            i = passed[t] + 1
+            passed[t] = i
+            later.append(owners[t][i:])
+        hits = Counter(itertools.chain.from_iterable(later))
+        shared = {b: [] for b, count in hits.items() if count >= need}
+        if not shared:
+            continue
+        for t, bs in zip(link, later):
+            for b in bs:
+                if b in shared:
+                    shared[b].append(t)
+        streams = [
+            _keyed_boxes(b, _link_boxes(common, k - 1))
+            for b, common in shared.items()
+        ]
+        for xs, b, ys in heapq.merge(*streams):
+            yield ((a, b),) + tuple(zip(xs, ys))
+
+
+def _keyed_boxes(b, boxes):
+    """Boxes of the link intersection with b, keyed (x-corner, b, y-corner)
+    so that the streams of all b merge into scan order."""
+    for box in boxes:
+        xs, ys = zip(*box)
+        yield xs, b, ys
+
+
+def _link_scan_charge(edges: list, d: int) -> int:
+    """Steps the link scan may take: one per edge, plus one per pair of
+    edges sharing their last d - j coordinates, j = 1 .. d - 1 (every pair
+    the scan forms at depth j is among them).  At most the
+    (d - 1) C(E, 2) + E pairs of a full pair scan."""
+    charge = len(edges)
+    for j in range(1, d):
+        tails = Counter(e[j:] for e in edges)
+        charge += sum(c * (c - 1) // 2 for c in tails.values())
+    return charge
+
+
 def freeness_check(H: Hypergraph, cap: int = DEFAULT_CAP):
-    """Scan all coordinate-disjoint edge pairs for a complete sub-box with
-    two vertices per part.  Returns (True, None) or (False, witness) with
-    the first violation in sorted edge order."""
+    """Search for a complete sub-box with two vertices per part by link
+    intersection.  Returns (True, None) or (False, witness), the witness
+    being the box a scan over sorted edge pairs would meet first, as d
+    sorted vertex pairs.  The cap bounds the pairs of edges with a shared
+    tail, counted before the scan starts."""
     edges = H.sorted_edges()
-    d = H.d
-    check_cap(len(edges) ** 2 * 2**d, cap, "freeness pair scan")
-    edge_set = H.edges
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if any(e[t] == f[t] for t in range(d)):
-                continue
-            if all(
-                combo in edge_set
-                for combo in itertools.product(*[(e[t], f[t]) for t in range(d)])
-            ):
-                witness = tuple((e[t], f[t]) for t in range(d))
-                return False, witness
-    return True, None
+    check_cap(_link_scan_charge(edges, H.d), cap, "freeness link scan")
+    witness = next(_link_boxes(edges, H.d), None)
+    return witness is None, witness
 
 
-def box_copies(H: Hypergraph, cap: int = DEFAULT_CAP):
-    """All complete 2-per-part sub-boxes, as tuples of vertex-index pairs
-    (unordered within a part, ordered by the generating edge pair)."""
+def box_copies(H: Hypergraph, cap: int = DEFAULT_CAP) -> list:
+    """All complete 2-per-part sub-boxes, each once, as tuples of sorted
+    vertex-index pairs in ``freeness_check``'s scan order.  The cap bounds
+    the link scan's charge plus one step per box listed."""
     edges = H.sorted_edges()
-    d = H.d
-    check_cap(len(edges) ** 2 * 2**d, cap, "box enumeration")
-    edge_set = H.edges
-    out = []
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if any(e[t] == f[t] for t in range(d)):
-                continue
-            if all(
-                combo in edge_set
-                for combo in itertools.product(*[(e[t], f[t]) for t in range(d)])
-            ):
-                out.append(tuple((e[t], f[t]) for t in range(d)))
+    charge = _link_scan_charge(edges, H.d)
+    check_cap(charge, cap, "box enumeration")
+    out = list(itertools.islice(_link_boxes(edges, H.d), cap - charge + 1))
+    check_cap(charge + len(out), cap, "box enumeration")
     return out
 
 
@@ -364,18 +461,6 @@ def pigeonhole_search(
     }
 
 
-def _plane_points(field: Field, V: Subspace) -> list:
-    """The q + 1 projective points of a 2-dimensional subspace."""
-    out = []
-    r0, r1 = V.rows
-    n = V.n
-    out.append(_canonical_point(field, r0))
-    for c in field.elements():
-        v = tuple(field.add(r1[j], field.mul(c, r0[j])) for j in range(n))
-        out.append(_canonical_point(field, v))
-    return out
-
-
 def delete_and_verify(
     T: Tensor,
     H: Hypergraph,
@@ -387,12 +472,17 @@ def delete_and_verify(
     the span argument and raises).  Returns (hypergraph, deleted_count)."""
     field = T.field
     index_maps = [{v: i for i, v in enumerate(part)} for part in H.parts]
+    plane_indices = {}  # (slot, plane rows) -> vertex indices of its points
     deleted = set()
     for tup in tuples:
-        point_lists = [
-            [index_maps[slot][p] for p in _plane_points(field, V)]
-            for slot, V in enumerate(tup)
-        ]
+        point_lists = []
+        for slot, V in enumerate(tup):
+            key = (slot, V.rows)
+            if key not in plane_indices:
+                plane_indices[key] = [
+                    index_maps[slot][p] for p in _span_points(field, V.rows)
+                ]
+            point_lists.append(plane_indices[key])
         for combo in itertools.product(*point_lists):
             if combo in H.edges:
                 deleted.add(combo)

@@ -27,10 +27,24 @@ from .tensor import base_change, random_tensor, tensor_from_dict
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("ISOTROPY_CAP")
-    return int(env) if env else DEFAULT_CAP
+    """--cap, else ISOTROPY_CAP, else the default; a given cap must be a
+    positive integer."""
+    cap = getattr(args, "cap", None)
+    source = "--cap"
+    if cap is None:
+        env = os.environ.get("ISOTROPY_CAP")
+        if not env:
+            return DEFAULT_CAP
+        source = "ISOTROPY_CAP"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise PreconditionError(
+                f"ISOTROPY_CAP must be a positive integer, got {env!r}"
+            ) from None
+    if cap < 1:
+        raise PreconditionError(f"{source} must be a positive integer, got {cap}")
+    return cap
 
 
 def _add_common(parser):

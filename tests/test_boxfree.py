@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilin.boxfree import (
     Hypergraph,
@@ -16,13 +19,64 @@ from multilin.boxfree import (
     plane_tuple_bound,
     projective_points,
 )
-from multilin.errors import PreconditionError
-from multilin.field import field_make
+from multilin.errors import DEFAULT_CAP, CapExceededError, PreconditionError
+from multilin.field import field_make, field_of_order
 from multilin.isotropy import isotropic_plane_tuples
-from multilin.tensor import Tensor, random_tensor
+from multilin.tensor import Tensor, random_tensor, tensor_eval
 
 F2 = field_make(2)
 F3 = field_make(3)
+
+
+# ---------------------------------------------------------------------------
+# brute-force references for the fast kernels
+# ---------------------------------------------------------------------------
+
+
+def pair_scan_boxes(H):
+    """Oracle: every coordinate-disjoint pair of sorted edges e < f whose
+    2^d corners are all edges, as ((e_1, f_1), ..., (e_d, f_d)), in scan
+    order; each box appears once per such pair."""
+    edges = H.sorted_edges()
+    out = []
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            if any(a == b for a, b in zip(e, f)):
+                continue
+            if all(
+                corner in H.edges
+                for corner in itertools.product(*zip(e, f))
+            ):
+                out.append(tuple(zip(e, f)))
+    return out
+
+
+def brute_force_edges(T):
+    """Oracle: the projective zero tuples of T, one evaluation each."""
+    points = projective_points(T.field, T.n)
+    zero = (0,) * T.m
+    return frozenset(
+        combo
+        for combo in itertools.product(range(len(points)), repeat=T.d)
+        if tensor_eval(T, [points[i] for i in combo]) == zero
+    )
+
+
+def identity_form(F):
+    """x . y on F^3: its hypergraph is the point-line incidence graph of
+    the projective plane over F, which has no 4-cycle."""
+    return Tensor(F, 3, 2, 1, [int(i == j) for i in range(3) for j in range(3)])
+
+
+@st.composite
+def hypergraphs(draw):
+    d = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(0, 4 if d < 4 else 3), min_size=d, max_size=d))
+    parts = tuple(tuple((i,) for i in range(s)) for s in sizes)
+    if 0 in sizes:
+        return Hypergraph(d=d, parts=parts, edges=frozenset())
+    edge = st.tuples(*[st.integers(0, s - 1) for s in sizes])
+    return Hypergraph(d=d, parts=parts, edges=frozenset(draw(st.sets(edge, max_size=60))))
 
 
 def test_projective_points_counts():
@@ -153,8 +207,9 @@ def test_hypergraph_text_roundtrip():
     H = build_hypergraph(Tensor(F2, 2, 2, 1, (1, 0, 0, 1)))
     again = hypergraph_from_text(H.to_text("# 2 1 2 1"))
     assert again == H
-    with pytest.raises(PreconditionError):
-        hypergraph_from_text("0 1\n1 0\n")  # missing header
+    for bad in ("0 1\n1 0\n", "# 0 1 2 1\n", "# 2 -5 2 1\n", "# 2 1 2 1\n0 3\n"):
+        with pytest.raises(PreconditionError):
+            hypergraph_from_text(bad)
 
 
 def test_pipeline_other_seed_still_verifies():
@@ -173,3 +228,84 @@ def test_pipeline_odd_characteristic_sampling():
     assert cert.tuple_bound_ok and cert.plane_tuple_count <= 208
     assert cert.edge_bound_ok and cert.freeness_verified
     assert len(result.before.parts[0]) == 40  # (3^4 - 1) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_link_scan_matches_pair_scan_oracle(H):
+    witnesses = pair_scan_boxes(H)
+    assert freeness_check(H) == (
+        (False, witnesses[0]) if witnesses else (True, None)
+    )
+    # each box once, pairs sorted, in the order the pair scan first meets it
+    first_seen = list(dict.fromkeys(
+        tuple(tuple(sorted(pair)) for pair in w) for w in witnesses
+    ))
+    assert box_copies(H) == first_seen
+
+
+def test_box_copies_lists_each_box_once():
+    # C(3, 2)^d boxes in the complete hypergraph on 3 points per part
+    for d, count in [(2, 9), (3, 27)]:
+        boxes = box_copies(build_hypergraph(Tensor.zero(F2, 2, d, 1)))
+        assert len(boxes) == len(set(boxes)) == count
+        assert all(x < y for box in boxes for x, y in box)
+
+
+def test_box_copies_cap_counts_listed_boxes():
+    H = build_hypergraph(Tensor.zero(F2, 2, 2, 1))
+    # 9 edges, 9 pairs sharing a tail, 9 boxes
+    assert len(box_copies(H, cap=27)) == 9
+    with pytest.raises(CapExceededError):
+        box_copies(H, cap=26)
+    assert not freeness_check(H, cap=18)[0]
+    with pytest.raises(CapExceededError):
+        freeness_check(H, cap=17)
+
+
+@pytest.mark.parametrize("q, N, d, m", [
+    (3, 3, 2, 1), (3, 3, 3, 1), (5, 3, 2, 2),  # prime fields
+    (4, 3, 2, 1), (9, 2, 3, 1),  # table fields
+])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_build_matches_brute_force_evaluation(q, N, d, m, data):
+    F = field_of_order(q)
+    coeffs = data.draw(
+        st.lists(st.integers(0, q - 1), min_size=m * N**d, max_size=m * N**d)
+    )
+    T = Tensor(F, N, d, m, coeffs)
+    assert build_hypergraph(T).edges == brute_force_edges(T)
+
+
+@settings(max_examples=3, deadline=None)
+@given(coeffs=st.lists(st.integers(0, 288), min_size=4, max_size=4))
+def test_build_matches_brute_force_on_log_field(coeffs):
+    T = Tensor(field_of_order(289), 2, 2, 1, coeffs)
+    assert build_hypergraph(T).edges == brute_force_edges(T)
+
+
+@pytest.mark.parametrize("q", [11, 13, 49])
+def test_projective_plane_verifies_under_default_cap(q):
+    H = build_hypergraph(identity_form(field_of_order(q)))
+    assert H.edge_count == (q * q + q + 1) * (q + 1)
+    assert freeness_check(H, DEFAULT_CAP) == (True, None)
+
+
+def test_hypergraph_from_dict_rejects_bad_edges():
+    parts = [[[1, 0], [0, 1], [1, 1]]] * 2
+    good = {"d": 2, "parts": parts, "edges": [[0, 1], [2, 2]]}
+    assert Hypergraph.from_dict(good).edge_count == 2
+    for bad in (
+        {"d": 2, "parts": parts, "edges": [[0, 7], [9, 1], [0, 1]]},  # out of part
+        {"d": 2, "parts": parts, "edges": [[0, -1]]},
+        {"d": 2, "parts": parts, "edges": [[0, 1, 2]]},  # arity 3
+        {"d": 2, "parts": parts, "edges": [[0, True]]},
+        {"d": 3, "parts": parts, "edges": []},  # 2 parts for d = 3
+        {"d": 0, "parts": [], "edges": []},
+        {"d": 2, "parts": parts},
+        {"d": 2, "parts": parts, "edges": [5]},
+        [],
+    ):
+        with pytest.raises(PreconditionError):
+            Hypergraph.from_dict(bad)

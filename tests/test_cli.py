@@ -229,8 +229,19 @@ def test_boxfree_verify_failure_exit_code(capsys, schema, tmp_path):
     hfile.write_text(json.dumps(H))
     code, doc = run_cli(capsys, "boxfree", "verify", "--hypergraph-in", str(hfile))
     assert code == 4
-    assert doc["free"] is False and doc["witness"] is not None
+    assert doc["free"] is False and doc["witness"] == [[0, 1], [0, 1]]
     validate(schema, doc)
+
+
+def test_boxfree_verify_rejects_edges_outside_their_parts(capsys, tmp_path):
+    hfile = tmp_path / "bad.json"
+    points = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    for edges in ([[0, 7], [9, 1], [0, 1]], [[0, 1, 2]]):
+        hfile.write_text(json.dumps({"d": 2, "parts": [points, points], "edges": edges}))
+        code = main(["boxfree", "verify", "--hypergraph-in", str(hfile)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "bad edge" in captured.err
 
 
 def test_extension_flag_on_planes(capsys, schema):
@@ -272,6 +283,24 @@ def test_env_cap_override(capsys, monkeypatch):
     code = main(["grassmann", "enum", "--q", "4", "--n", "5", "--k", "2"])
     capsys.readouterr()
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("ISOTROPY_CAP", value)
+    code = main(["grassmann", "enum", "--q", "2", "--n", "3", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ISOTROPY_CAP must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cap_flag_must_be_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("ISOTROPY_CAP", "100000")  # the flag still wins
+    code = main(["grassmann", "enum", "--q", "2", "--n", "3", "--k", "1", "--cap", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--cap must be a positive integer" in captured.err
 
 
 def test_boxfree_text_format_verify(capsys, schema, tmp_path):
