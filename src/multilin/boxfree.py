@@ -39,7 +39,7 @@ from .errors import (
     check_cap,
 )
 from .field import Field
-from .grassmann import Subspace, gauss_binom, kernel_basis, rref
+from .grassmann import Subspace, gauss_binom, kernel_basis, rref, span_points
 from .isotropy import DEFAULT_TENSOR_CAP, count_plane_tuples, isotropic_plane_tuples
 from .prng import SplitMix64
 from .tensor import Tensor, _contract_first
@@ -62,25 +62,6 @@ def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
     expected = (q**dim - 1) // (q - 1)
     if len(out) != expected:  # pragma: no cover
         raise InvariantViolation("projective point count mismatch")
-    return out
-
-
-def _span_points(field: Field, rows: Sequence[tuple]) -> list:
-    """Canonical projective points of span(rows), for rows in reduced row
-    echelon form: row i plus any combination of the rows after it has its
-    first nonzero entry, a one, at row i's pivot."""
-    mul = field.mul_func()
-    add = field.add_func()
-    out = []
-    for i, lead in enumerate(rows):
-        for coefs in itertools.product(field.elements(), repeat=len(rows) - i - 1):
-            v = list(lead)
-            for c, row in zip(coefs, rows[i + 1 :]):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = add(v[j], mul(c, x))
-            out.append(tuple(v))
     return out
 
 
@@ -181,7 +162,7 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
         kernel = kernel_basis(field, [block[o * N : (o + 1) * N] for o in range(m)], N)
         if len(kernel) == N:
             return range(npts)
-        return [index[v] for v in _span_points(field, rref(field, kernel)[0])]
+        return [index[v] for v in span_points(field, rref(field, kernel)[0])]
 
     def extend(block, order, prefix):
         if order == 1:
@@ -480,7 +461,7 @@ def delete_and_verify(
             key = (slot, V.rows)
             if key not in plane_indices:
                 plane_indices[key] = [
-                    index_maps[slot][p] for p in _span_points(field, V.rows)
+                    index_maps[slot][p] for p in span_points(field, V.rows)
                 ]
             point_lists.append(plane_indices[key])
         for combo in itertools.product(*point_lists):

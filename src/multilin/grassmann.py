@@ -86,6 +86,24 @@ def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
     return basis
 
 
+def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """Canonical projective points of span(rows), for rows in reduced row
+    echelon form: row i plus any combination of the rows after it has its
+    first nonzero entry, a one, at row i's pivot.  Points come by leading
+    row, then by the later rows' coefficients in element order."""
+    mul = field.mul_func()
+    add = field.add_func()
+    for i, lead in enumerate(rows):
+        for coefs in itertools.product(field.elements(), repeat=len(rows) - i - 1):
+            v = list(lead)
+            for c, row in zip(coefs, rows[i + 1 :]):
+                if c:
+                    for j, x in enumerate(row):
+                        if x:
+                            v[j] = add(v[j], mul(c, x))
+            yield tuple(v)
+
+
 class Subspace:
     """A k-dimensional subspace of F^n, basis in reduced row echelon form."""
 

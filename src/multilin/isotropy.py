@@ -40,6 +40,7 @@ from .grassmann import (
     gauss_binom,
     kernel_basis,
     rref,
+    span_points,
 )
 from .tensor import (
     AltTensor,
@@ -131,7 +132,7 @@ class _AltSearch:
     def candidates(self, kernel: list, rows: tuple, pivots: tuple) -> Iterator[tuple]:
         """Canonical representatives of the lines of kernel / span(rows):
         zero at the pivot columns of the current subspace, first nonzero
-        coordinate scaled to one."""
+        coordinate one."""
         field, n = self.field, self.n
         # reduce the kernel basis modulo the current rows, then echelonize
         reduced = []
@@ -145,25 +146,7 @@ class _AltSearch:
             if any(v):
                 reduced.append(v)
         comp, _ = rref(field, reduced)
-        c = len(comp)
-        if c == 0:
-            return
-        for lead in range(c):
-            frees = c - lead - 1
-            for coefs in itertools.product(field.elements(), repeat=frees):
-                v = list(comp[lead])
-                for cf, row in zip(coefs, comp[lead + 1 :]):
-                    if cf:
-                        for j in range(n):
-                            v[j] = field.add(v[j], field.mul(cf, row[j]))
-                # scale so the first nonzero coordinate is one
-                for j in range(n):
-                    if v[j]:
-                        if v[j] != field.one:
-                            inv = field.inv(v[j])
-                            v = [field.mul(inv, x) for x in v]
-                        break
-                yield tuple(v)
+        return span_points(field, comp)
 
     def dfs(self, rows: tuple, pivots: tuple, partial: dict) -> bool:
         """Extend the isotropic subspace with basis ``rows``; True = stop."""
@@ -493,15 +476,6 @@ def count_hom_incidence(field: Field, n: int, d: int, m: int) -> int:
     return gauss_binom(n, 2, q) ** d * ((q**fiber_dim - 1) // (q - 1))
 
 
-def _projective_coeff_reps(field: Field, count: int) -> Iterator[tuple]:
-    """Nonzero coefficient tuples up to scalar: first nonzero entry = 1."""
-    one = field.one
-    nonzero = [a for a in field.elements() if a]
-    for lead in range(count):
-        for tail in itertools.product(field.elements(), repeat=count - lead - 1):
-            yield (0,) * lead + (one,) + tail
-
-
 def count_alt_incidence_raw(
     field: Field, n: int, d: int, m: int, k: int, cap: int = DEFAULT_CAP
 ) -> int:
@@ -512,7 +486,7 @@ def count_alt_incidence_raw(
     check_cap(reps * gauss_binom(n, k, q), cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, k, cap=cap))
     count = 0
-    for coeffs in _projective_coeff_reps(field, ncoef):
+    for coeffs in span_points(field, Subspace.full(field, ncoef).rows):
         T = AltTensor(field, n, d, m, coeffs)
         count += sum(1 for V in subs if alt_restricts_zero(T, V))
     return count
@@ -528,7 +502,7 @@ def count_hom_incidence_raw(
     check_cap(reps * gauss_binom(n, 2, q) ** d, cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, 2, cap=cap))
     count = 0
-    for coeffs in _projective_coeff_reps(field, ncoef):
+    for coeffs in span_points(field, Subspace.full(field, ncoef).rows):
         T = Tensor(field, n, d, m, coeffs)
         count += sum(
             1

@@ -5,6 +5,13 @@ is the set of argument tuples mapped to zero.  It is stored exactly as the
 pair (dN, |Z_T|) and compared through integer inequalities; the decimal
 log is presentation only.  The partition rank is never computed, only its
 coordinate-decomposition bound m.
+
+|Z_T| is counted over projective points: every slot but one is fixed to a
+canonical point (first nonzero coordinate one), contracted in place, and
+the last slot's zeros are read off the rank of the remaining m x N
+matrix.  Rank is invariant under scaling an argument, and a zero argument
+zeroes the matrix, so the (q-1)^(d-1) scalings of each fixed tuple and the
+tuples with a zero argument are counted in closed form.
 """
 
 from __future__ import annotations
@@ -13,28 +20,8 @@ from dataclasses import dataclass
 from math import log
 
 from .errors import DEFAULT_CAP, InvariantViolation, PreconditionError, check_cap
-from .grassmann import rank as matrix_rank
-from .tensor import Tensor, _contract_first, all_vectors
-
-
-def _move_slot_first(T: Tensor, slot: int) -> Tensor:
-    if slot == 0:
-        return T
-    n, d, m = T.n, T.d, T.m
-    strides = [n ** (d - 1 - j) for j in range(d)]
-    order = [slot] + [j for j in range(d) if j != slot]
-    flat = [0] * len(T.coeffs)
-    for o in range(m):
-        base = o * n**d
-        for idx in range(n**d):
-            rem = idx
-            digits = []
-            for s in strides:
-                digits.append(rem // s)
-                rem %= s
-            new_idx = sum(digits[order[j]] * strides[j] for j in range(d))
-            flat[base + new_idx] = T.coeffs[base + idx]
-    return Tensor(T.field, n, d, m, flat)
+from .grassmann import Subspace, span_points, rank as matrix_rank
+from .tensor import Tensor, _contract_first, _contract_slot, all_vectors
 
 
 def zero_count(
@@ -43,8 +30,17 @@ def zero_count(
     """Exact |{(x_1..x_d) : T(x_1..x_d) = 0}|.
 
     'kernel' fixes all slots but one and adds q^(N - rank) for the induced
-    linear map; 'raw' scans every tuple.  Both give the same count, and any
-    choice of kernel slot does too (multilinearity).
+    m x N matrix, over projective points only: a zero argument makes the
+    matrix zero, and scaling an argument by c != 0 scales the matrix.  With
+    N_q = q^N and s = d - 1 fixed slots,
+
+        |Z| = (N_q^s - (N_q - 1)^s) N_q + (q - 1)^s sum q^(N - rank),
+
+    the sum running over the P^s tuples of canonical points, P =
+    (N_q - 1)/(q - 1).  The cap is charged with those P^s rank calls.
+    'raw' scans every vector tuple, with no rank call and no projective
+    reduction.  Both give the same count, and any choice of kernel slot
+    does too (multilinearity).
     """
     if not isinstance(T, Tensor):
         raise PreconditionError("zero counting needs a dense multilinear tensor")
@@ -72,41 +68,25 @@ def zero_count(
         raise PreconditionError(f"unknown method {method!r}")
     if not 0 <= kernel_slot < d:
         raise PreconditionError("kernel slot out of range")
-    check_cap(q ** ((d - 1) * n), cap, "zero-set kernel scan")
-    T = _move_slot_first(T, kernel_slot)
-    vectors = list(all_vectors(field, n))
-    count = 0
+    s = d - 1
+    nq = q**n
+    check_cap(((nq - 1) // (q - 1)) ** s, cap, "zero-set kernel scan")
+    points = list(span_points(field, Subspace.full(field, n).rows)) if s else []
+    # the fixed slots, highest first, so the lower slot indices stay put
+    slots = [j for j in reversed(range(d)) if j != kernel_slot]
+    total = 0
 
-    def rec(flat, order):
-        nonlocal count
-        if order == 1:
+    def rec(flat, depth):
+        nonlocal total
+        if depth == s:
             rows = [flat[o * n : (o + 1) * n] for o in range(m)]
-            count += q ** (n - matrix_rank(field, rows))
+            total += q ** (n - matrix_rank(field, rows))
             return
-        for v in vectors:
-            # contract the trailing slot, keeping the kernel slot in front
-            rec(_contract_last(field, flat, m, n, order, v), order - 1)
+        for v in points:
+            rec(_contract_slot(field, flat, m, n, d - depth, v, slots[depth]), depth + 1)
 
-    rec(list(T.coeffs), d)
-    return count
-
-
-def _contract_last(field, flat, m, n, d, v):
-    mul = field.mul_func()
-    add = field.add_func()
-    out = []
-    blocks = m * n ** (d - 1)
-    for b in range(blocks):
-        base = b * n
-        acc = 0
-        for j in range(n):
-            w = v[j]
-            if w:
-                c = flat[base + j]
-                if c:
-                    acc = add(acc, mul(c, w))
-        out.append(acc)
-    return out
+    rec(T.coeffs, 0)
+    return (nq**s - (nq - 1) ** s) * nq + (q - 1) ** s * total
 
 
 @dataclass(frozen=True)

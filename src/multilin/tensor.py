@@ -29,11 +29,6 @@ def increasing_tuples(n: int, d: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _tuple_pos(n: int, d: int) -> dict:
-    return {t: i for i, t in enumerate(increasing_tuples(n, d))}
-
-
-@functools.lru_cache(maxsize=None)
 def _signed_perms(d: int) -> tuple:
     out = []
     for perm in itertools.permutations(range(d)):
@@ -152,21 +147,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(q={self.field.q}, n={self.n}, d={self.d}, m={self.m})"
 
-    def contract(self, v: Sequence[int], slot: int = 0) -> "Tensor":
-        """Plug vector v into one argument slot; order drops by one."""
-        if self.d == 1:
-            raise PreconditionError("cannot contract an order-1 map to order 0")
-        flat = _contract_slot(
-            self.field, self.coeffs, self.m, self.n, self.d, v, slot
-        )
-        return Tensor(self.field, self.n, self.d - 1, self.m, flat)
-
-    def apply_last(self, v: Sequence[int]) -> tuple:
-        """Value of an order-1 map, as a vector in F^m."""
-        assert self.d == 1
-        flat = _contract_first(self.field, self.coeffs, self.m, self.n, 1, v)
-        return tuple(flat)
-
     def to_dict(self) -> dict:
         return {
             "field": self.field.to_dict(),
@@ -218,10 +198,6 @@ class AltTensor:
 
     def __repr__(self):
         return f"AltTensor(q={self.field.q}, n={self.n}, d={self.d}, m={self.m})"
-
-    def coeff(self, out: int, idx: tuple) -> int:
-        pos = _tuple_pos(self.n, self.d)[idx]
-        return self.coeffs[out * comb(self.n, self.d) + pos]
 
     def to_dict(self) -> dict:
         return {
@@ -383,8 +359,20 @@ def random_tensor(
 
 
 def tensor_from_dict(data: dict) -> "Tensor | AltTensor":
-    field = Field.from_dict(data["field"])
-    cls = {"hom": Tensor, "alt": AltTensor}.get(data.get("kind"))
+    """Inverse of ``to_dict``; rejects shapes that are not integers and
+    coefficients that are not field elements, integers in range(q)."""
+    try:
+        field = Field.from_dict(data["field"])
+        cls = {"hom": Tensor, "alt": AltTensor}.get(data.get("kind"))
+        n, d, m, coeffs = data["n"], data["d"], data["m"], list(data["coeffs"])
+    except (KeyError, TypeError) as exc:
+        raise PreconditionError(f"malformed tensor document: {exc!r}") from exc
     if cls is None:
         raise PreconditionError(f"unknown tensor kind {data.get('kind')!r}")
-    return cls(field, data["n"], data["d"], data["m"], data["coeffs"])
+    if any(type(x) is not int for x in (n, d, m)):
+        raise PreconditionError(f"n, d and m must be integers, got {n!r}, {d!r}, {m!r}")
+    q = field.q
+    for c in coeffs:
+        if type(c) is not int or not 0 <= c < q:
+            raise PreconditionError(f"coefficient {c!r} is not an element of F_{q}")
+    return cls(field, n, d, m, coeffs)

@@ -275,6 +275,45 @@ def test_conflicting_tensor_flags_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("q, bad", [(2, 2), (4, 5)])
+def test_tensor_coefficient_outside_the_field_rejected(capsys, tmp_path, q, bad):
+    # Over F_2 the coefficient 2 made the zero map read as index 2 instead
+    # of 3; over F_4 the coefficient 5 ended in an IndexError traceback.
+    tensor_file = tmp_path / "t.json"
+    run_cli(
+        capsys,
+        "tensor", "random",
+        "--q", str(q), "--n", "3", "--d", "2", "--m", "1", "--kind", "alt",
+        "--out", str(tensor_file),
+    )
+    doc = json.loads(tensor_file.read_text())
+    doc["coeffs"] = [bad] * len(doc["coeffs"])
+    tensor_file.write_text(json.dumps(doc))
+    for command in (["isotropy", "alt"], ["tensor", "show"]):
+        code = main(command + ["--tensor", str(tensor_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"coefficient {bad} is not an element of F_{q}" in captured.err
+
+
+@pytest.mark.parametrize("key, value", [("n", 2.0), ("d", "2"), ("m", True)])
+def test_tensor_shape_must_be_integers(capsys, tmp_path, key, value):
+    tensor_file = tmp_path / "t.json"
+    run_cli(
+        capsys,
+        "tensor", "random",
+        "--q", "3", "--n", "2", "--d", "2", "--m", "1",
+        "--out", str(tensor_file),
+    )
+    doc = json.loads(tensor_file.read_text())
+    doc[key] = value
+    tensor_file.write_text(json.dumps(doc))
+    code = main(["rank", "zeros", "--tensor", str(tensor_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n, d and m must be integers" in captured.err
+
+
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("ISOTROPY_CAP", "5")
     code = main(["grassmann", "enum", "--q", "4", "--n", "5", "--k", "2"])

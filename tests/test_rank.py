@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multilin.errors import CapExceededError
-from multilin.field import field_make
+from multilin.field import field_make, field_of_order
 from multilin.rank import analytic_rank, partition_rank_bound, zero_count
 from multilin.tensor import Tensor, random_tensor
 
@@ -96,3 +97,57 @@ def test_zero_count_cap():
     T = Tensor.zero(F3, 4, 3, 1)
     with pytest.raises(CapExceededError):
         zero_count(T, cap=10)
+
+
+def test_zero_count_cap_charges_projective_tuples():
+    # q^((d-1)N) = 81 rank calls before; P^(d-1) = 16 with P = 4 points
+    T = random_tensor(F3, 2, 3, 1, "hom", seed=3)
+    assert zero_count(T, cap=16) == zero_count(T, method="raw")
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=15)
+
+
+FIELDS = {q: field_of_order(q) for q in (3, 4, 5, 9)}
+
+
+def _zero_slice(coeffs, n, d, slot, index):
+    """Zero every coefficient whose argument in ``slot`` is ``index``."""
+    stride = n ** (d - 1 - slot)
+    return [
+        0 if (pos % n**d) // stride % n == index else c
+        for pos, c in enumerate(coeffs)
+    ]
+
+
+@st.composite
+def small_maps(draw):
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    shapes = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3) if q ** (n * d) <= 6561]
+    n, d = draw(st.sampled_from(shapes))
+    m = draw(st.integers(1, 2))
+    size = m * n**d
+    coeffs = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    shape = draw(st.sampled_from(("random", "zero", "slice")))
+    if shape == "zero":
+        coeffs = [0] * size
+    elif shape == "slice":
+        slot = draw(st.integers(0, d - 1))
+        coeffs = _zero_slice(coeffs, n, d, slot, draw(st.integers(0, n - 1)))
+    return Tensor(FIELDS[q], n, d, m, coeffs)
+
+
+@given(small_maps())
+@settings(max_examples=60, deadline=None)
+def test_kernel_equals_raw_on_every_slot(T):
+    # q - 1 > 1 here, so a wrong (q-1)^(d-1) factor cannot hide
+    raw = zero_count(T, method="raw")
+    for k in range(T.d):
+        assert zero_count(T, kernel_slot=k) == raw
+
+
+@given(st.lists(st.integers(0, 288), min_size=1, max_size=2))
+@settings(max_examples=4, deadline=None)
+def test_kernel_equals_raw_log_field(coeffs):
+    T = Tensor(field_of_order(289), 1, 2, len(coeffs), coeffs)
+    raw = zero_count(T, method="raw")
+    assert [zero_count(T, kernel_slot=k) for k in range(2)] == [raw, raw]

@@ -9,6 +9,7 @@ from multilin.grassmann import Subspace
 from multilin.tensor import (
     AltTensor,
     Tensor,
+    _contract_slot,
     alt_eval,
     alt_restricts_zero,
     base_change,
@@ -57,6 +58,32 @@ def test_eval_multilinearity_random_samples():
         assert tensor_eval(T, [u, scaled, v3]) == tuple(
             F5.mul(a, y) for y in tensor_eval(T, [u, v2, v3])
         )
+
+
+@given(
+    st.sampled_from((F3, F4, F5)),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_contract_slot_matches_index_sum(F, n, d, m, data):
+    # reference: out[o, rest] = sum_i T[o, rest with i inserted at slot] v[i]
+    size = m * n**d
+    coeffs = data.draw(st.lists(st.integers(0, F.q - 1), min_size=size, max_size=size))
+    v = data.draw(st.lists(st.integers(0, F.q - 1), min_size=n, max_size=n))
+    slot = data.draw(st.integers(0, d - 1))
+    expected = []
+    for o in range(m):
+        for rest in itertools.product(range(n), repeat=d - 1):
+            acc = 0
+            for i in range(n):
+                idx = rest[:slot] + (i,) + rest[slot:]
+                pos = o * n**d + sum(k * n ** (d - 1 - j) for j, k in enumerate(idx))
+                acc = F.add(acc, F.mul(coeffs[pos], v[i]))
+            expected.append(acc)
+    assert _contract_slot(F, coeffs, m, n, d, v, slot) == expected
 
 
 def test_alt_eval_sign_swap():
@@ -196,6 +223,32 @@ def test_serialization_roundtrip():
         T = random_tensor(F4, 3, 2, 2, kind, seed=9)
         again = tensor_from_dict(T.to_dict())
         assert again == T
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("coeffs", [0, 2, 0]),  # 2 is not an element of F_2
+        ("coeffs", [0, -1, 0]),
+        ("coeffs", [0, 0.5, 0]),
+        ("coeffs", [0, True, 0]),
+        ("coeffs", [0, "1", 0]),
+        ("coeffs", 7),
+        ("n", 3.0),
+        ("d", "2"),
+        ("m", None),
+        ("n", KeyError),  # missing key
+        ("field", KeyError),
+    ],
+)
+def test_from_dict_rejects_bad_documents(key, value):
+    data = random_tensor(F2, 3, 2, 1, "alt", seed=1).to_dict()
+    if value is KeyError:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(PreconditionError):
+        tensor_from_dict(data)
 
 
 @given(st.integers(min_value=0, max_value=2**63))
