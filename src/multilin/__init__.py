@@ -10,7 +10,7 @@ from .errors import (
     MultilinError,
     PreconditionError,
 )
-from .field import Field, embed, enumerate_field, field_make, field_of_order
+from .field import Field, embed, field_make, field_of_order
 from .tensor import (
     AltTensor,
     Tensor,
@@ -63,7 +63,7 @@ from .formulas import (
     stratum_inequality_check,
     turan_number,
 )
-from .rank import RankReport, analytic_rank, partition_rank_bound, zero_count
+from .rank import RankReport, analytic_rank, zero_count
 from .boxfree import (
     BoxCertificate,
     Hypergraph,

@@ -48,20 +48,20 @@ from .rank import zero_count
 
 def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
     """Canonical representatives of P(F^dim): first nonzero coordinate one,
-    in lexicographic vector order."""
+    in lexicographic vector order.  A point with more leading zeros comes
+    first, and points with the same leading one are ordered by their tails,
+    so (0,)*i + (one,) + tail runs i downwards with tails in product order;
+    the cap is charged the (q^dim - 1)/(q - 1) points listed."""
     q = field.q
-    check_cap(q**dim, cap, "projective point scan")
+    check_cap((q**dim - 1) // (q - 1), cap, "projective point listing")
     one = field.one
     out = []
-    for v in itertools.product(field.elements(), repeat=dim):
-        for c in v:
-            if c:
-                if c == one:
-                    out.append(v)
-                break
-    expected = (q**dim - 1) // (q - 1)
-    if len(out) != expected:  # pragma: no cover
-        raise InvariantViolation("projective point count mismatch")
+    for i in range(dim - 1, -1, -1):
+        head = (0,) * i + (one,)
+        out.extend(
+            head + tail
+            for tail in itertools.product(field.elements(), repeat=dim - 1 - i)
+        )
     return out
 
 

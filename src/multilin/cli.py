@@ -50,12 +50,6 @@ def _cap(args) -> int:
 def _add_common(parser):
     parser.add_argument("--out", help="write the JSON document here instead of stdout")
     parser.add_argument("--cap", type=int, help="enumeration cap (overrides ISOTROPY_CAP)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; results are independent of the value (execution is serial)",
-    )
 
 
 def _add_tensor_source(parser, kind_choice=True):

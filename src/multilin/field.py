@@ -11,6 +11,11 @@ is free, and serialized coefficient indices need no translation table.
 Prime fields compute with plain modular arithmetic.  Extension fields of
 order up to 256 build dense add/mul/neg/inv tables on first use; larger
 extensions multiply through discrete-log tables built from a generator.
+Row operations on lists of elements go through one kernel per field,
+built on first use (:meth:`Field.row_ops`): a single ``% p`` per entry for
+prime fields, XOR against a multiplication-table row in characteristic 2
+(the canonical index is the coefficient bit vector), the add table for
+odd-characteristic tables, and the log tables above the table limit.
 
 All operations are pure; a Field is immutable after construction and safe
 to share between threads.
@@ -174,6 +179,7 @@ class Field:
         "_inv_table",
         "_log",
         "_alog",
+        "_row_ops",
         "_hash",
     )
 
@@ -203,6 +209,7 @@ class Field:
         self._inv_table = None
         self._log = None
         self._alog = None
+        self._row_ops = None
         self._hash = hash((p, e, modulus))
 
     # -- identity ----------------------------------------------------------
@@ -412,6 +419,66 @@ class Field:
             return lambda a, b: table[a][b]
         return self.add
 
+    def row_ops(self):
+        """The row kernel ``(axpy, scale)``, built on first use and cached:
+        ``axpy(acc, f, row)`` returns the list acc + f*row and
+        ``scale(f, row)`` the list f*row, elementwise over equal-length
+        rows of elements.  Every row operation of the package goes through
+        these two, so each field pays its backend dispatch once per row."""
+        if self._row_ops is None:
+            self._row_ops = self._build_row_ops()
+        return self._row_ops
+
+    def _build_row_ops(self):
+        if self.e == 1:
+            p = self.p
+
+            def axpy(acc, f, row):
+                return [(a + f * x) % p for a, x in zip(acc, row)]
+
+            def scale(f, row):
+                return [f * x % p for x in row]
+
+        elif self.q <= _TABLE_LIMIT:
+            self._ensure_tables()
+            mul = self._mul_table
+
+            if self.p == 2:
+                # the canonical index is the coefficient bit vector, so
+                # addition is XOR of indices
+                def axpy(acc, f, row):
+                    mf = mul[f]
+                    return [a ^ mf[x] for a, x in zip(acc, row)]
+
+            else:
+                add = self._add_table
+
+                def axpy(acc, f, row):
+                    mf = mul[f]
+                    return [add[a][mf[x]] for a, x in zip(acc, row)]
+
+            def scale(f, row):
+                mf = mul[f]
+                return [mf[x] for x in row]
+
+        else:
+            log, alog = self._log_tables()
+            add = self._digit_add
+
+            def axpy(acc, f, row):
+                if not f:
+                    return list(acc)
+                lf = log[f]
+                return [add(a, alog[lf + log[x]]) if x else a for a, x in zip(acc, row)]
+
+            def scale(f, row):
+                if not f:
+                    return [0] * len(row)
+                lf = log[f]
+                return [alog[lf + log[x]] if x else 0 for x in row]
+
+        return axpy, scale
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -440,11 +507,6 @@ def field_make(p: int, e: int = 1) -> Field:
         if _is_irreducible(poly, p):
             return Field(p, e, poly)
     raise InvariantViolation("no irreducible polynomial found")  # pragma: no cover
-
-
-def enumerate_field(field: Field) -> list:
-    """All q elements, in the canonical order (see module docstring)."""
-    return list(field.elements())
 
 
 def field_of_order(q: int) -> Field:

@@ -35,6 +35,7 @@ def rref(field: Field, rows: Sequence[Sequence[int]]):
     work = [list(r) for r in rows]
     if not work:
         return (), ()
+    axpy, scale = field.row_ops()
     ncols = len(work[0])
     pivots = []
     r = 0
@@ -49,16 +50,11 @@ def rref(field: Field, rows: Sequence[Sequence[int]]):
         work[r], work[pr] = work[pr], work[r]
         pv = work[r][c]
         if pv != field.one:
-            inv = field.inv(pv)
-            work[r] = [field.mul(inv, x) for x in work[r]]
+            work[r] = scale(field.inv(pv), work[r])
+        row_r = work[r]
         for i in range(len(work)):
             if i != r and work[i][c]:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [
-                    field.sub(work[i][j], field.mul(f, row_r[j]))
-                    for j in range(ncols)
-                ]
+                work[i] = axpy(work[i], field.neg(work[i][c]), row_r)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -73,6 +69,9 @@ def rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
 def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
     """Basis of {x in F^n : row . x = 0 for each row}."""
     red, pivots = rref(field, [r for r in rows if any(r)])
+    _, scale = field.row_ops()
+    minus_one = field.neg(field.one)
+    neg_red = [scale(minus_one, row) for row in red]
     pivset = set(pivots)
     basis = []
     for f in range(n):
@@ -80,8 +79,8 @@ def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
             continue
         v = [0] * n
         v[f] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i][f])
+        for row, pc in zip(neg_red, pivots):
+            v[pc] = row[f]
         basis.append(tuple(v))
     return basis
 
@@ -91,16 +90,14 @@ def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
     echelon form: row i plus any combination of the rows after it has its
     first nonzero entry, a one, at row i's pivot.  Points come by leading
     row, then by the later rows' coefficients in element order."""
-    mul = field.mul_func()
-    add = field.add_func()
+    axpy, _ = field.row_ops()
     for i, lead in enumerate(rows):
-        for coefs in itertools.product(field.elements(), repeat=len(rows) - i - 1):
-            v = list(lead)
-            for c, row in zip(coefs, rows[i + 1 :]):
+        later = rows[i + 1 :]
+        for coefs in itertools.product(field.elements(), repeat=len(later)):
+            v = lead
+            for c, row in zip(coefs, later):
                 if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = add(v[j], mul(c, x))
+                    v = axpy(v, c, row)
             yield tuple(v)
 
 
@@ -138,23 +135,22 @@ class Subspace:
 
     def contains(self, v: Sequence[int]) -> bool:
         field = self.field
-        v = list(v)
+        axpy, _ = field.row_ops()
         for row, pc in zip(self.rows, self.pivots):
             c = v[pc]
             if c:
-                for j in range(self.n):
-                    v[j] = field.sub(v[j], field.mul(c, row[j]))
+                v = axpy(v, field.neg(c), row)
         return not any(v)
 
     def vectors(self) -> Iterator[tuple]:
         """All q^k vectors of the subspace (coefficient order)."""
-        field = self.field
-        for coefs in itertools.product(field.elements(), repeat=self.k):
-            v = [0] * self.n
+        axpy, _ = self.field.row_ops()
+        zero = (0,) * self.n
+        for coefs in itertools.product(self.field.elements(), repeat=self.k):
+            v = zero
             for c, row in zip(coefs, self.rows):
                 if c:
-                    for j in range(self.n):
-                        v[j] = field.add(v[j], field.mul(c, row[j]))
+                    v = axpy(v, c, row)
             yield tuple(v)
 
     def __eq__(self, other):

@@ -9,7 +9,13 @@ vectors are exactly the joint kernel of the linear maps
 x -> T(b_{i_1}, ..., b_{i_{d-1}}, x) over the (d-1)-subsets of R, so
 candidates are generated, not tested: the kernel is intersected with the
 canonical coset representatives modulo the current subspace, and each new
-subspace is visited once.
+subspace is visited once.  A candidate is zero at the current pivots and
+leads with a one, so it joins the RREF basis by clearing its pivot column
+from the old rows, with no fresh elimination.  Every frontier row and
+every candidate is a canonical projective point, so the order-d
+contraction T(v, ...) is computed once per point and kept for the whole
+search; the lower-order contractions stay per node.  Row operations run
+on the field's row kernel (:meth:`multilin.field.Field.row_ops`).
 
 ``alpha_alt_by_scan`` is the independent oracle: a plain top-down
 Grassmannian scan that shares no code path with the DFS.
@@ -91,6 +97,7 @@ class _AltSearch:
         self.best_rows: Optional[tuple] = None
         self.upper = self.n - 1  # T is nonzero when the search runs
         self.seen = {}
+        self.first = {}  # canonical point v -> T(v, ...), shared, never mutated
 
     def found(self, rows: tuple) -> bool:
         """Record a discovered isotropic subspace; True when done."""
@@ -116,16 +123,29 @@ class _AltSearch:
             stacked.extend(block[o * n : (o + 1) * n] for o in range(m))
         return kernel_basis(self.field, stacked, n)
 
+    def contract(self, v: tuple) -> tuple:
+        """T(v, ...), the order-d contraction, computed once per point:
+        every frontier row and every candidate is a canonical projective
+        point, so at most (q^n - 1)/(q - 1) are stored."""
+        block = self.first.get(v)
+        if block is None:
+            block = tuple(
+                _contract_first(self.field, self.dense, self.m, self.n, self.d, v)
+            )
+            self.first[v] = block
+        return block
+
     def extend_partial(self, partial: dict, rows: tuple, v) -> dict:
         """Contractions for subsets that include the new row."""
         field, m, n, d = self.field, self.m, self.n, self.d
         k = len(rows)
         out = dict(partial)
-        for size in range(0, self.d - 1):
+        for size in range(0, d - 1):
             for subset in itertools.combinations(range(k), size):
-                block = partial[subset]
-                out[subset + (k,)] = _contract_first(
-                    field, block, m, n, d - size, v
+                out[subset + (k,)] = (
+                    self.contract(v)
+                    if size == 0
+                    else _contract_first(field, partial[subset], m, n, d - size, v)
                 )
         return out
 
@@ -133,16 +153,15 @@ class _AltSearch:
         """Canonical representatives of the lines of kernel / span(rows):
         zero at the pivot columns of the current subspace, first nonzero
         coordinate one."""
-        field, n = self.field, self.n
+        field = self.field
+        axpy, _ = field.row_ops()
         # reduce the kernel basis modulo the current rows, then echelonize
         reduced = []
-        for vec in kernel:
-            v = list(vec)
+        for v in kernel:
             for row, pc in zip(rows, pivots):
                 c = v[pc]
                 if c:
-                    for j in range(n):
-                        v[j] = field.sub(v[j], field.mul(c, row[j]))
+                    v = axpy(v, field.neg(c), row)
             if any(v):
                 reduced.append(v)
         comp, _ = rref(field, reduced)
@@ -158,9 +177,7 @@ class _AltSearch:
         for v in self.candidates(kernel, rows, pivots):
             if self.spend():
                 return True
-            new_rows, new_pivots = rref(self.field, list(rows) + [v])
-            if len(new_rows) != k + 1:  # pragma: no cover - kernel excludes V
-                raise InvariantViolation("candidate lies in the subspace")
+            new_rows, new_pivots = _rref_insert(self.field, rows, pivots, v)
             if new_rows in seen:
                 continue
             seen.add(new_rows)
@@ -169,6 +186,22 @@ class _AltSearch:
             if self.dfs(new_rows, new_pivots, self.extend_partial(partial, rows, v)):
                 return True
         return False
+
+
+def _rref_insert(field: Field, rows: tuple, pivots: tuple, v: tuple):
+    """rref(rows + [v]) for RREF ``rows`` and a vector v that is zero at
+    their pivots and leads with a one: v joins at its pivot's place and its
+    pivot column is cleared from the old rows."""
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None or v[c] != field.one or any(v[pc] for pc in pivots):
+        raise InvariantViolation("candidate is not reduced modulo the subspace")
+    axpy, _ = field.row_ops()
+    at = sum(1 for pc in pivots if pc < c)
+    new_rows = [
+        tuple(axpy(row, field.neg(row[c]), v)) if row[c] else row for row in rows
+    ]
+    new_rows.insert(at, v)
+    return tuple(new_rows), pivots[:at] + (c,) + pivots[at:]
 
 
 def alpha_alt(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
@@ -187,14 +220,10 @@ def alpha_alt(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
             break
         if search.spend():
             break
-        subsets = {(): list(search.dense)}
-        for size in range(1, d):
-            for subset in itertools.combinations(range(start_k), size):
-                prev = subsets[subset[:-1]]
-                subsets[subset] = _contract_first(
-                    field, prev, T.m, n, d - size + 1, W.rows[subset[-1]]
-                )
-        if search.dfs(W.rows, W.pivots, subsets):
+        partial = {(): search.dense}
+        for i in range(start_k):
+            partial = search.extend_partial(partial, W.rows[:i], W.rows[i])
+        if search.dfs(W.rows, W.pivots, partial):
             break  # either the ceiling n-1 was reached or the budget ran out
     rows = search.best_rows
     witness = Subspace(field, n, rows, rref(field, rows)[1])
@@ -233,15 +262,16 @@ def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Sub
     dim = len(basis)
     if dim < k:
         return
+    axpy, _ = field.row_ops()
+    zero = (0,) * n
     for sel in enumerate_grassmannian(field, dim, k, cap=DEFAULT_CAP):
         vectors = []
         for coefs in sel.rows:
-            v = [0] * n
+            v = zero
             for c, bvec in zip(coefs, basis):
                 if c:
-                    for j in range(n):
-                        v[j] = field.add(v[j], field.mul(c, bvec[j]))
-            vectors.append(tuple(v))
+                    v = axpy(v, c, bvec)
+            vectors.append(v)
         yield Subspace.span(field, n, vectors)
 
 

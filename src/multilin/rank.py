@@ -133,8 +133,3 @@ def analytic_rank(T: Tensor, cap: int = DEFAULT_CAP) -> RankReport:
             f"= {T.field.q ** (report.dn - T.m)}"
         )
     return report
-
-
-def partition_rank_bound(T: Tensor) -> int:
-    """The coordinate-decomposition bound m; no partition rank is computed."""
-    return T.m

@@ -64,45 +64,38 @@ def _det(field: Field, rows: Sequence[Sequence[int]]) -> int:
 
 def _contract_first(field: Field, flat, m: int, n: int, d: int, v) -> list:
     """Contract the first argument slot against vector v."""
-    stride = n ** (d - 1)
-    mul = field.mul_func()
-    add = field.add_func()
-    out = []
-    for o in range(m):
-        base = o * n * stride
-        for r in range(stride):
-            acc = 0
-            for i in range(n):
-                w = v[i]
-                if w:
-                    c = flat[base + i * stride + r]
-                    if c:
-                        acc = add(acc, mul(c, w))
-            out.append(acc)
-    return out
+    return _contract_slot(field, flat, m, n, d, v, 0)
 
 
 def _contract_slot(field: Field, flat, m: int, n: int, d: int, v, slot: int) -> list:
-    if slot == 0:
-        return _contract_first(field, flat, m, n, d, v)
-    left = n**slot
+    """Contract argument slot ``slot`` against vector v: one axpy per
+    nonzero coordinate of v over a slice of the flat tensor.
+
+    Entry (g, j, r) of the flat tensor sits at (g*n + j)*right + r, with
+    g over the m*n^slot outer indices and r over the right = n^(d-1-slot)
+    inner ones.  Coordinate j's terms are contiguous runs of length right,
+    one per g, or strided runs of length m*n^slot, one per r; the longer
+    runs are taken, so each slice feeds the row kernel as much as it can."""
+    axpy, _ = field.row_ops()
+    groups = m * n**slot
     right = n ** (d - 1 - slot)
-    mul = field.mul_func()
-    add = field.add_func()
-    out = []
-    block = n**d
-    for o in range(m):
-        for l in range(left):
-            base = o * block + l * n * right
-            for r in range(right):
-                acc = 0
-                for j in range(n):
-                    w = v[j]
-                    if w:
-                        c = flat[base + j * right + r]
-                        if c:
-                            acc = add(acc, mul(c, w))
-                out.append(acc)
+    terms = [(j, w) for j, w in enumerate(v) if w]
+    if right >= groups:
+        out = []
+        for g in range(groups):
+            acc = [0] * right
+            for j, w in terms:
+                start = (g * n + j) * right
+                acc = axpy(acc, w, flat[start : start + right])
+            out.extend(acc)
+        return out
+    step = n * right
+    out = [0] * (groups * right)
+    for r in range(right):
+        acc = [0] * groups
+        for j, w in terms:
+            acc = axpy(acc, w, flat[j * right + r :: step])
+        out[r::right] = acc
     return out
 
 

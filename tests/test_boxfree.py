@@ -51,6 +51,17 @@ def pair_scan_boxes(H):
     return out
 
 
+def brute_force_projective_points(field, dim):
+    """Oracle: walk all q^dim vectors in lexicographic order and keep those
+    whose first nonzero coordinate is one."""
+    out = []
+    for v in itertools.product(field.elements(), repeat=dim):
+        first = next((c for c in v if c), None)
+        if first == field.one:
+            out.append(v)
+    return out
+
+
 def brute_force_edges(T):
     """Oracle: the projective zero tuples of T, one evaluation each."""
     points = projective_points(T.field, T.n)
@@ -88,6 +99,22 @@ def test_projective_points_counts():
         for v in pts:
             first = next(c for c in v if c)
             assert first == F.one
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 49])
+def test_projective_points_match_the_lexicographic_walk(q):
+    F = field_of_order(q)
+    for dim in range(0, 4):
+        assert projective_points(F, dim) == brute_force_projective_points(F, dim)
+
+
+def test_projective_points_cap_charges_the_points():
+    for q, dim in [(2, 4), (4, 3), (49, 3)]:
+        F = field_of_order(q)
+        P = (q**dim - 1) // (q - 1)
+        assert len(projective_points(F, dim, cap=P)) == P
+        with pytest.raises(CapExceededError):
+            projective_points(F, dim, cap=P - 1)
 
 
 def test_build_zero_tensor_is_complete():

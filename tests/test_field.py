@@ -7,7 +7,6 @@ from multilin.errors import PreconditionError
 from multilin.field import (
     Field,
     embed,
-    enumerate_field,
     field_make,
     field_of_order,
     is_prime,
@@ -41,11 +40,11 @@ def test_field_make_validation():
 
 def test_enumeration_order_is_lex_on_coefficients():
     F4 = field_make(2, 2)
-    assert [F4.coeffs(a) for a in enumerate_field(F4)] == [
+    assert [F4.coeffs(a) for a in F4.elements()] == [
         (0, 0), (0, 1), (1, 0), (1, 1),
     ]
     F9 = field_make(3, 2)
-    coeffs = [F9.coeffs(a) for a in enumerate_field(F9)]
+    coeffs = [F9.coeffs(a) for a in F9.elements()]
     assert coeffs == sorted(coeffs)
     assert len(set(coeffs)) == 9
 

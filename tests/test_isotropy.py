@@ -1,9 +1,10 @@
 import itertools
+from math import comb
 
 import pytest
 
-from multilin.errors import CapExceededError
-from multilin.field import field_make
+from multilin.errors import DEFAULT_CAP, CapExceededError
+from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_bound
 from multilin.grassmann import enumerate_grassmannian, gauss_binom
 from multilin.isotropy import (
@@ -95,6 +96,54 @@ def test_alpha_alt_matches_scan_oracle_smaller_spaces():
             coeffs = tuple((bits >> i) & 1 for i in range(ncoef))
             T = AltTensor(F2, n, 2, 1, coeffs)
             assert alpha_alt(T).index == alpha_alt_by_scan(T).index
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_alpha_alt_matches_scan_oracle_at_order_three(q):
+    # random maps and sparse ones (a single nonzero coefficient per output),
+    # whose high index makes the DFS grow flags past the frontier
+    F = field_of_order(q)
+    for n, m, seed in itertools.product((3, 4, 5), (1, 2), (0, 1)):
+        T = random_tensor(F, n, 3, m, "alt", seed=4_000 + 100 * q + 10 * n + 2 * m + seed)
+        sparse = AltTensor(
+            F, n, 3, m,
+            [c if i % comb(n, 3) == seed else 0 for i, c in enumerate(T.coeffs)],
+        )
+        for S in (T, sparse):
+            dfs = alpha_alt(S)
+            assert dfs.exhausted
+            assert dfs.index == alpha_alt_by_scan(S).index
+            assert dfs.witness[0].k == dfs.index
+            assert alt_restricts_zero(S, dfs.witness[0])
+
+
+# (q, n, d, m, seed, cap) -> (index, exhausted, witness rows): the DFS visit
+# order fixes which isotropic subspace is reported first, and with it the
+# CLI documents, so these are pinned, capped searches included.
+WITNESS_PINS = {
+    (2, 6, 3, 1, 1, DEFAULT_CAP): (4, True, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (3, 5, 3, 2, 2, DEFAULT_CAP): (3, True, (
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 2, 2))),
+    (4, 5, 3, 2, 3, DEFAULT_CAP): (3, True, (
+        (2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (8, 4, 3, 1, 7, DEFAULT_CAP): (3, True, (
+        (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 7))),
+    (9, 4, 2, 1, 5, DEFAULT_CAP): (3, True, (
+        (3, 0, 0, 0), (0, 3, 0, 1), (0, 0, 3, 3))),
+    (7, 4, 2, 1, 2, DEFAULT_CAP): (2, True, ((1, 0, 0, 0), (0, 1, 0, 2))),
+    (3, 5, 3, 2, 3, 40): (3, False, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (2, 6, 3, 1, 8, 25): (4, False, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WITNESS_PINS))
+def test_alpha_alt_witness_pins(key):
+    q, n, d, m, seed, cap = key
+    T = random_tensor(field_of_order(q), n, d, m, "alt", seed=seed)
+    result = alpha_alt(T, cap)
+    assert (result.index, result.exhausted, result.witness[0].rows) == WITNESS_PINS[key]
 
 
 def test_alpha_alt_cap_reports_not_exhausted():

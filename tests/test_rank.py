@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from multilin.errors import CapExceededError
 from multilin.field import field_make, field_of_order
-from multilin.rank import analytic_rank, partition_rank_bound, zero_count
+from multilin.rank import analytic_rank, zero_count
 from multilin.tensor import Tensor, random_tensor
 
 F2 = field_make(2)
@@ -74,7 +74,7 @@ def test_rank_bound_on_random_samples():
         zc = zero_count(T)
         assert zc >= q ** (d * N - m)  # AR <= m as an integer inequality
         report = analytic_rank(T)
-        assert report.ar_decimal <= partition_rank_bound(T) + 1e-9
+        assert report.ar_decimal <= T.m + 1e-9
 
 
 def test_ar_zero_iff_zero_map():

@@ -1,0 +1,128 @@
+"""The per-field row kernel and the row operations built on it, against
+naive per-element references written with the scalar Field methods."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multilin.errors import InvariantViolation
+from multilin.field import field_of_order
+from multilin.grassmann import kernel_basis, rref, span_points
+from multilin.isotropy import _rref_insert
+
+# prime, characteristic-2 tables, odd-p tables and the log backend (q > 256)
+FIELDS = [field_of_order(q) for q in (2, 3, 4, 5, 8, 9, 289)]
+
+
+def naive_axpy(F, acc, f, row):
+    return [F.add(a, F.mul(f, x)) for a, x in zip(acc, row)]
+
+
+def naive_rref(F, rows):
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = F.inv(work[r][c])
+        work[r] = [F.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def naive_kernel(F, rows, n):
+    red, pivots = naive_rref(F, rows)
+    basis = []
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = F.one
+            for row, pc in zip(red, pivots):
+                v[pc] = F.neg(row[f])
+            basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=6):
+    F = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, max_cols))
+    # zeros are drawn often, so rank drops and zero rows show up
+    entry = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows)
+    )
+    return F, ncols, rows
+
+
+@given(matrices(max_rows=2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_axpy_and_scale_match_elementwise_ops(case, data):
+    F, ncols, rows = case
+    zero = [0] * ncols
+    acc, row = (rows + [zero, zero])[:2]
+    f = data.draw(st.one_of(st.just(0), st.integers(0, F.q - 1)))
+    axpy, scale = F.row_ops()
+    assert axpy(acc, f, row) == naive_axpy(F, acc, f, row)
+    assert axpy(tuple(acc), f, tuple(row)) == naive_axpy(F, acc, f, row)
+    assert scale(f, row) == [F.mul(f, x) for x in row]
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_kernel_match_naive_elimination(case):
+    F, ncols, rows = case
+    assert rref(F, rows) == naive_rref(F, rows)
+    assert kernel_basis(F, rows, ncols) == naive_kernel(F, [r for r in rows if any(r)], ncols)
+
+
+@given(matrices(max_rows=4, max_cols=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_insert_equals_rref_of_the_extended_rows(case, data):
+    F, ncols, rows = case
+    red, pivots = rref(F, rows)
+    # reduce a random vector modulo span(red); insert its canonical line
+    w = data.draw(st.lists(st.integers(0, F.q - 1), min_size=ncols, max_size=ncols))
+    for row, pc in zip(red, pivots):
+        w = naive_axpy(F, w, F.neg(w[pc]), row)
+    if not any(w):
+        return
+    lead = next(x for x in w if x)
+    v = tuple(F.mul(F.inv(lead), x) for x in w)
+    assert _rref_insert(F, red, pivots, v) == rref(F, list(red) + [v])
+
+
+def test_rref_insert_rejects_a_vector_not_reduced_modulo_the_rows():
+    F = field_of_order(3)
+    red, pivots = rref(F, [(1, 0, 2)])
+    for v in [(0, 0, 0), (1, 1, 0), (0, 2, 1)]:  # zero, at a pivot, leads with 2
+        with pytest.raises(InvariantViolation):
+            _rref_insert(F, red, pivots, v)
+
+
+@given(matrices(max_rows=3, max_cols=4))
+@settings(max_examples=60, deadline=None)
+def test_span_points_are_the_canonical_points_of_the_span(case):
+    F, ncols, rows = case
+    red, _ = rref(F, rows)
+    if F.q ** len(red) > 2000:
+        return
+    points = list(span_points(F, red))
+    expected = set()
+    for coefs in itertools.product(F.elements(), repeat=len(red)):
+        v = [0] * ncols
+        for c, row in zip(coefs, red):
+            v = naive_axpy(F, v, c, row)
+        lead = next((x for x in v if x), None)
+        if lead == F.one:
+            expected.add(tuple(v))
+    assert len(points) == len(expected) and set(points) == expected
