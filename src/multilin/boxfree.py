@@ -39,8 +39,14 @@ from .errors import (
     check_cap,
 )
 from .field import Field
-from .grassmann import Subspace, gauss_binom, kernel_basis, rref, span_points
-from .isotropy import DEFAULT_TENSOR_CAP, count_plane_tuples, isotropic_plane_tuples
+from .formulas import box_exponent
+from .grassmann import Subspace, gauss_binom, rref, span_points
+from .isotropy import (
+    DEFAULT_TENSOR_CAP,
+    _last_slot_kernel,
+    count_plane_tuples,
+    isotropic_plane_tuples,
+)
 from .prng import SplitMix64
 from .tensor import Tensor, _contract_first
 from .rank import zero_count
@@ -159,7 +165,7 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     edges = []
 
     def last_slot(block):
-        kernel = kernel_basis(field, [block[o * N : (o + 1) * N] for o in range(m)], N)
+        kernel = _last_slot_kernel(field, (block,), m, N)
         if len(kernel) == N:
             return range(npts)
         return [index[v] for v in span_points(field, rref(field, kernel)[0])]
@@ -352,7 +358,7 @@ def plane_tuple_bound(field: Field, n: int, d: int, m: int) -> int:
 
 def admissible(n: int, d: int, m: int) -> bool:
     """Hypothesis for the sparse-tuple guarantee: m(2^d - 1) < (n-1)d."""
-    return m * (2**d - 1) < (n - 1) * d
+    return box_exponent(n, d, m).admissible
 
 
 def _tensor_from_index(field: Field, n1: int, d: int, m: int, idx: int) -> Tensor:

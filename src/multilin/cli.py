@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from datetime import datetime, timezone
 
 from . import acceptance, boxfree, formulas, grassmann, isotropy, rank
@@ -382,14 +381,14 @@ def cmd_tensor(args) -> int:
 def cmd_selftest(args) -> int:
     timings = {}
     report = acceptance.run_core(args.seed, timings)
-    start = time.perf_counter()
-    second = acceptance.run_core(args.seed)
-    det_time = time.perf_counter() - start
-    det_passed = json.dumps(report, sort_keys=True) == json.dumps(second, sort_keys=True)
     report["criteria"].append(
-        {"id": "determinism", "passed": det_passed, "detail": {"reruns": 1}}
+        acceptance.run_criterion(
+            "determinism",
+            lambda seed: acceptance.crit_determinism(seed, first=report),
+            args.seed,
+            timings,
+        )
     )
-    timings["determinism"] = det_time
     all_passed = all(c["passed"] for c in report["criteria"])
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"

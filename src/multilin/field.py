@@ -8,14 +8,18 @@ compared first.  Equivalently, ``index = sum(c_i * p**(e-1-i))``.  Two
 elements are equal iff their integers are equal, so canonical uniqueness
 is free, and serialized coefficient indices need no translation table.
 
-Prime fields compute with plain modular arithmetic.  Extension fields of
-order up to 256 build dense add/mul/neg/inv tables on first use; larger
-extensions multiply through discrete-log tables built from a generator.
-Row operations on lists of elements go through one kernel per field,
-built on first use (:meth:`Field.row_ops`): a single ``% p`` per entry for
-prime fields, XOR against a multiplication-table row in characteristic 2
-(the canonical index is the coefficient bit vector), the add table for
-odd-characteristic tables, and the log tables above the table limit.
+Prime fields compute with plain modular arithmetic.  Every extension
+field, whatever its order, computes through the same discrete-log arrays,
+built on first use from a multiplicative generator g: ``log`` (with
+``log[0]`` a sentinel 2(q-1)) and ``alog``, which is zero from index
+2(q-1) on, so ``alog[log[a] + log[b]]`` is a*b with no zero branch.  In
+characteristic 2 the canonical index is the coefficient bit vector, so
+addition is XOR of indices; for odd p, addition reads the Zech logarithm
+``zech[k] = log(1 + g^k)`` (Lidl-Niederreiter, *Finite Fields*, 10.2), as
+a + b = g^(log a + zech[log b - log a]).  Row operations on lists of
+elements go through one kernel per field, built on first use
+(:meth:`Field.row_ops`) on the same arrays: a single ``% p`` per entry for
+prime fields, the log arrays with XOR or Zech addition otherwise.
 
 All operations are pure; a Field is immutable after construction and safe
 to share between threads.
@@ -31,9 +35,6 @@ from .errors import InvariantViolation, PreconditionError
 
 # Orders above this would make downstream enumeration meaningless.
 ORDER_CAP = 1 << 20
-
-# Extension fields up to this order get dense q-by-q operation tables.
-_TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -173,12 +174,9 @@ class Field:
         "modulus",
         "one",
         "_weights",
-        "_add_table",
-        "_neg_table",
-        "_mul_table",
-        "_inv_table",
         "_log",
         "_alog",
+        "_zech",
         "_row_ops",
         "_hash",
     )
@@ -203,12 +201,9 @@ class Field:
         # index of the constant polynomial 1 (c_0 is the most significant digit)
         self.one = p ** (e - 1)
         self._weights = tuple(p ** (e - 1 - i) for i in range(e))
-        self._add_table = None
-        self._neg_table = None
-        self._mul_table = None
-        self._inv_table = None
         self._log = None
         self._alog = None
+        self._zech = None
         self._row_ops = None
         self._hash = hash((p, e, modulus))
 
@@ -257,102 +252,67 @@ class Field:
         """All q elements in canonical enumeration order."""
         return range(self.q)
 
-    # -- table construction ---------------------------------------------------
+    # -- log tables ------------------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        pa = _poly_trim(self.coeffs(a))
-        pb = _poly_trim(self.coeffs(b))
-        return self.element(_poly_mulmod(pa, pb, self.modulus, self.p))
+    def _tables(self):
+        """``(log, alog, zech)`` of an extension field, built on first use.
 
-    def _log_tables(self):
+        ``log[0]`` is the sentinel 2(q-1) and ``alog`` (length 4(q-1) + 1)
+        is zero from index 2(q-1) on, so a sum of two logs indexes the
+        product, zero included.  ``zech[k] = log(1 + g^k)`` has period
+        q - 1 over 2(q-1) entries, so any difference of two logs of
+        nonzero elements, or of a log sum and a log, indexes it (negative
+        ones from the end); it is None in characteristic 2."""
         if self._log is None:
             q = self.q
-            targets = [(q - 1) // t for t in _prime_factors(q - 1)]
+            top = q - 1
+            p, mod = self.p, self.modulus
+            targets = [top // t for t in _prime_factors(top)]
             gen = None
             for g in range(1, q):
-                if all(self._raw_pow(g, n) != self.one for n in targets):
-                    gen = g
+                x = _poly_trim(self.coeffs(g))
+                if all(_poly_powmod(x, n, mod, p) != (1,) for n in targets):
+                    gen = x
                     break
             if gen is None:  # pragma: no cover
                 raise InvariantViolation("no multiplicative generator found")
-            alog = [0] * (2 * (q - 1))
-            log = [0] * q
-            cur = self.one
-            for i in range(q - 1):
-                alog[i] = cur
-                alog[i + q - 1] = cur
-                log[cur] = i
-                cur = self._raw_mul(cur, gen)
-            self._log = log
+            alog = [0] * (4 * top + 1)
+            log = [2 * top] * q
+            cur = (1,)
+            for i in range(top):
+                a = self.element(cur)
+                alog[i] = alog[i + top] = a
+                log[a] = i
+                cur = _poly_mulmod(cur, gen, mod, p)
+            if p != 2:
+                # 1 + x is (x + one) % q: ``one`` is the leading digit
+                self._zech = [log[(alog[k] + self.one) % q] for k in range(2 * top)]
             self._alog = alog
-        return self._log, self._alog
-
-    def _raw_pow(self, a: int, n: int) -> int:
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            n >>= 1
-        return result
-
-    def _ensure_tables(self):
-        if self._mul_table is None:
-            q = self.q
-            log, alog = self._log_tables()
-            mul = [[0] * q for _ in range(q)]
-            for a in range(1, q):
-                la = log[a]
-                row = mul[a]
-                for b in range(1, q):
-                    row[b] = alog[la + log[b]]
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = alog[q - 1 - log[a]]
-            add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
-            neg = [self._digit_neg(a) for a in range(q)]
-            self._mul_table = mul
-            self._inv_table = inv
-            self._add_table = add
-            self._neg_table = neg
-
-    def _digit_add(self, a: int, b: int) -> int:
-        out = 0
-        p = self.p
-        for w in self._weights:
-            out += ((a // w + b // w) % p) * w
-            a %= w
-            b %= w
-        return out
-
-    def _digit_neg(self, a: int) -> int:
-        out = 0
-        p = self.p
-        for w in self._weights:
-            out += (-(a // w) % p) * w
-            a %= w
-        return out
+            self._log = log
+        return self._log, self._alog, self._zech
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self.q <= _TABLE_LIMIT:
-            if self._add_table is None:
-                self._ensure_tables()
-            return self._add_table[a][b]
-        return self._digit_add(a, b)
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        if self._log is None:
+            self._tables()
+        la = self._log[a]
+        return self._alog[la + self._zech[self._log[b] - la]]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        if self.q <= _TABLE_LIMIT:
-            if self._neg_table is None:
-                self._ensure_tables()
-            return self._neg_table[a]
-        return self._digit_neg(a)
+        if self.p == 2:
+            return a
+        if self._log is None:
+            self._tables()
+        return self._alog[self._log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -360,26 +320,18 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if self.q <= _TABLE_LIMIT:
-            if self._mul_table is None:
-                self._ensure_tables()
-            return self._mul_table[a][b]
-        if a == 0 or b == 0:
-            return 0
-        log, alog = self._log_tables()
-        return alog[log[a] + log[b]]
+        if self._log is None:
+            self._tables()
+        return self._alog[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise PreconditionError("inverse of zero")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self.q <= _TABLE_LIMIT:
-            if self._inv_table is None:
-                self._ensure_tables()
-            return self._inv_table[a]
-        log, alog = self._log_tables()
-        return alog[self.q - 1 - log[a]]
+        if self._log is None:
+            self._tables()
+        return self._alog[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -392,31 +344,25 @@ class Field:
             return self.pow(self.inv(a), -n)
         if self.e == 1:
             return pow(a, n, self.p)
-        log, alog = self._log_tables()
-        return alog[(log[a] * n) % (self.q - 1)]
+        if self._log is None:
+            self._tables()
+        return self._alog[(self._log[a] * n) % (self.q - 1)]
 
     # -- hot-path accessors ----------------------------------------------------
 
     def mul_func(self):
-        """Two-argument multiply closure bound to the fastest backend."""
+        """Two-argument multiply closure bound to the field's arithmetic."""
         if self.e == 1:
             p = self.p
             return lambda a, b: (a * b) % p
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            table = self._mul_table
-            return lambda a, b: table[a][b]
-        return self.mul
+        log, alog, _ = self._tables()
+        return lambda a, b: alog[log[a] + log[b]]
 
     def add_func(self):
-        """Two-argument add closure bound to the fastest backend."""
+        """Two-argument add closure bound to the field's arithmetic."""
         if self.e == 1:
             p = self.p
             return lambda a, b: (a + b) % p
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            table = self._add_table
-            return lambda a, b: table[a][b]
         return self.add
 
     def row_ops(self):
@@ -439,43 +385,33 @@ class Field:
             def scale(f, row):
                 return [f * x % p for x in row]
 
-        elif self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            mul = self._mul_table
+            return axpy, scale
 
-            if self.p == 2:
-                # the canonical index is the coefficient bit vector, so
-                # addition is XOR of indices
-                def axpy(acc, f, row):
-                    mf = mul[f]
-                    return [a ^ mf[x] for a, x in zip(acc, row)]
+        log, alog, zech = self._tables()
 
-            else:
-                add = self._add_table
+        def scale(f, row):
+            lf = log[f]
+            return [alog[lf + log[x]] for x in row]
 
-                def axpy(acc, f, row):
-                    mf = mul[f]
-                    return [add[a][mf[x]] for a, x in zip(acc, row)]
+        if self.p == 2:
 
-            def scale(f, row):
-                mf = mul[f]
-                return [mf[x] for x in row]
+            def axpy(acc, f, row):
+                lf = log[f]
+                return [a ^ alog[lf + log[x]] for a, x in zip(acc, row)]
 
         else:
-            log, alog = self._log_tables()
-            add = self._digit_add
 
             def axpy(acc, f, row):
                 if not f:
                     return list(acc)
                 lf = log[f]
-                return [add(a, alog[lf + log[x]]) if x else a for a, x in zip(acc, row)]
-
-            def scale(f, row):
-                if not f:
-                    return [0] * len(row)
-                lf = log[f]
-                return [alog[lf + log[x]] if x else 0 for x in row]
+                # a + f*x = g^(la + zech[lf + log x - la]) for a, x nonzero
+                return [
+                    (alog[(la := log[a]) + zech[lf + log[x] - la]] if a else alog[lf + log[x]])
+                    if x
+                    else a
+                    for a, x in zip(acc, row)
+                ]
 
         return axpy, scale
 

@@ -32,12 +32,11 @@ class ParamSet:
     d: int = 0
     m: int = 0
     k: int = 0
-    l: int = 0
     char_zero: bool = False
 
     def as_dict(self) -> dict:
         out = {}
-        for name in ("n", "d", "m", "k", "l"):
+        for name in ("n", "d", "m", "k"):
             v = getattr(self, name)
             if v:
                 out[name] = v

@@ -116,12 +116,11 @@ class _AltSearch:
 
     def joint_kernel(self, partial: dict, rows: tuple) -> list:
         """Kernel of x -> T(subset, x) over all (d-1)-subsets of rows."""
-        stacked = []
-        m, n = self.m, self.n
-        for subset in itertools.combinations(range(len(rows)), self.d - 1):
-            block = partial[subset]
-            stacked.extend(block[o * n : (o + 1) * n] for o in range(m))
-        return kernel_basis(self.field, stacked, n)
+        blocks = (
+            partial[subset]
+            for subset in itertools.combinations(range(len(rows)), self.d - 1)
+        )
+        return _last_slot_kernel(self.field, blocks, self.m, self.n)
 
     def contract(self, v: tuple) -> tuple:
         """T(v, ...), the order-d contraction, computed once per point:
@@ -251,6 +250,8 @@ def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
 
 
 def _last_slot_kernel(field: Field, blocks, m: int, n: int) -> list:
+    """Kernel of the last slot: common kernel of the m x n matrices left
+    by contracting every other slot, one per block, stacked into rows."""
     rows = []
     for block in blocks:
         rows.extend(block[o * n : (o + 1) * n] for o in range(m))

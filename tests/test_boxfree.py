@@ -292,7 +292,7 @@ def test_box_copies_cap_counts_listed_boxes():
 
 @pytest.mark.parametrize("q, N, d, m", [
     (3, 3, 2, 1), (3, 3, 3, 1), (5, 3, 2, 2),  # prime fields
-    (4, 3, 2, 1), (9, 2, 3, 1),  # table fields
+    (4, 3, 2, 1), (9, 2, 3, 1),  # extension fields
 ])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from multilin.errors import PreconditionError
 from multilin.field import (
     Field,
+    _poly_mulmod,
+    _poly_powmod,
+    _poly_trim,
     embed,
     field_make,
     field_of_order,
@@ -157,7 +161,7 @@ def test_f27_axioms_sampled(a, b, c):
 
 
 def test_large_extension_log_arithmetic():
-    # above the dense-table limit: exercises the discrete-log backend
+    # a large extension field: x generates the multiplicative group
     F = field_make(2, 10)
     one = F.one
     assert F.mul(one, one) == one
@@ -168,3 +172,56 @@ def test_large_extension_log_arithmetic():
     assert acc == one  # x^(q-1) = 1
     assert F.mul(x, F.inv(x)) == one
     assert F.pow(x, F.q - 1) == one
+
+
+# Independent oracle: coefficient-vector arithmetic, digit-wise mod p for
+# addition and polynomial multiplication modulo the field's modulus, with
+# no log tables.  Every extension order up to 256 is checked on all pairs.
+ORACLE_EXHAUSTIVE = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256]
+ORACLE_SAMPLED = [289, 343, 512, 625, 729, 1024]
+
+
+def coeff_add(F, a, b):
+    return F.element([(x + y) % F.p for x, y in zip(F.coeffs(a), F.coeffs(b))])
+
+
+def coeff_neg(F, a):
+    return F.element([-x % F.p for x in F.coeffs(a)])
+
+
+def coeff_mul(F, a, b):
+    pa, pb = _poly_trim(F.coeffs(a)), _poly_trim(F.coeffs(b))
+    return F.element(_poly_mulmod(pa, pb, F.modulus, F.p))
+
+
+def coeff_pow(F, a, n):
+    return F.element(_poly_powmod(_poly_trim(F.coeffs(a)), n, F.modulus, F.p))
+
+
+def check_against_oracle(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == coeff_add(F, a, b), (F.q, a, b)
+        assert F.mul(a, b) == coeff_mul(F, a, b), (F.q, a, b)
+    for a in {a for pair in pairs for a in pair}:
+        assert F.neg(a) == coeff_neg(F, a), (F.q, a)
+        if a:
+            assert coeff_mul(F, a, F.inv(a)) == F.one, (F.q, a)
+            assert F.pow(a, -1) == F.inv(a)
+        for n in (0, 1, 2, 3, F.p, F.q - 1, F.q + 1, 3 * F.q + 5):
+            assert F.pow(a, n) == coeff_pow(F, a, n), (F.q, a, n)
+
+
+@pytest.mark.parametrize("q", ORACLE_EXHAUSTIVE)
+def test_arithmetic_matches_coefficient_oracle_exhaustive(q):
+    F = field_of_order(q)
+    assert F.e > 1
+    check_against_oracle(F, list(itertools.product(range(q), repeat=2)))
+
+
+@pytest.mark.parametrize("q", ORACLE_SAMPLED)
+def test_arithmetic_matches_coefficient_oracle_sampled(q):
+    F = field_of_order(q)
+    rng = random.Random(q)
+    draw = lambda: rng.choice([0, F.one, rng.randrange(q)])  # noqa: E731
+    pairs = [(draw(), draw()) for _ in range(1500)]
+    check_against_oracle(F, pairs + [(a, coeff_neg(F, a)) for a, _ in pairs[:200]])

@@ -11,8 +11,9 @@ from multilin.field import field_of_order
 from multilin.grassmann import kernel_basis, rref, span_points
 from multilin.isotropy import _rref_insert
 
-# prime, characteristic-2 tables, odd-p tables and the log backend (q > 256)
-FIELDS = [field_of_order(q) for q in (2, 3, 4, 5, 8, 9, 289)]
+# prime fields, and extension fields in characteristic 2 (XOR addition, 512
+# included) and odd characteristic (Zech-logarithm addition)
+FIELDS = [field_of_order(q) for q in (2, 3, 4, 5, 8, 9, 25, 27, 289, 512)]
 
 
 def naive_axpy(F, acc, f, row):
