@@ -10,8 +10,9 @@ annihilated plane tuples by a seeded pigeonhole scan, performs the
 deletion, and verifies freeness, recording every exact count in a
 certificate.
 
-The build contracts the first d - 1 slots point by point, each prefix
-once, and reads the zero points of the last slot off a kernel basis.
+The build is the plane-tuple slot walk of :mod:`multilin.isotropy` run
+over single points: each prefix of d - 1 points is contracted once, and
+the zero points of the last slot are read off a kernel basis.
 Freeness is checked by link intersection: two part-0 vertices can only
 lie in a common box through link elements (the other d - 1 coordinates
 of an edge) they share, so the scan pairs edges with a shared tail and
@@ -43,12 +44,12 @@ from .formulas import box_exponent
 from .grassmann import Subspace, gauss_binom, rref, span_points
 from .isotropy import (
     DEFAULT_TENSOR_CAP,
-    _last_slot_kernel,
+    _slot_walk,
     count_plane_tuples,
     isotropic_plane_tuples,
 )
 from .prng import SplitMix64
-from .tensor import Tensor, _contract_first
+from .tensor import Tensor
 from .rank import zero_count
 
 
@@ -152,33 +153,26 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     """Hypergraph on d copies of P^(n)(F_q) (ambient dimension T.n) whose
     edges are exactly the projective zero tuples of T.
 
-    The first d - 1 slots are contracted point by point, sharing each
-    prefix; the last slot's zero points are the projective points of the
-    kernel of the remaining m x N matrix."""
+    The plane-tuple slot walk runs over single points: each prefix of
+    d - 1 points is contracted once, and the last slot's zero points are
+    the projective points of its kernel.  A prefix on which T already
+    vanishes takes every tail."""
     if not isinstance(T, Tensor):
         raise PreconditionError("the hypergraph needs a dense multilinear tensor")
-    field, N, m = T.field, T.n, T.m
-    points = projective_points(field, N, cap)
+    field, d = T.field, T.d
+    points = projective_points(field, T.n, cap)
     npts = len(points)
-    check_cap(npts**T.d, cap, "edge enumeration")
+    check_cap(npts**d, cap, "edge enumeration")
     index = {v: i for i, v in enumerate(points)}
     edges = []
-
-    def last_slot(block):
-        kernel = _last_slot_kernel(field, (block,), m, N)
-        if len(kernel) == N:
-            return range(npts)
-        return [index[v] for v in span_points(field, rref(field, kernel)[0])]
-
-    def extend(block, order, prefix):
-        if order == 1:
-            edges.extend(prefix + (i,) for i in last_slot(block))
-            return
-        for i, v in enumerate(points):
-            extend(_contract_first(field, block, m, N, order, v), order - 1, prefix + (i,))
-
-    extend(T.coeffs, T.d, ())
-    return Hypergraph(d=T.d, parts=(tuple(points),) * T.d, edges=frozenset(edges))
+    for prefix, kernel in _slot_walk(T, [(v,) for v in points], cap):
+        if kernel is None:
+            tails = itertools.product(range(npts), repeat=d - len(prefix))
+            edges.extend(prefix + tail for tail in tails)
+        else:
+            tails = span_points(field, rref(field, kernel)[0])
+            edges.extend(prefix + (index[v],) for v in tails)
+    return Hypergraph(d=d, parts=(tuple(points),) * d, edges=frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -421,12 +415,16 @@ def pigeonhole_search(
         raise InvariantViolation(
             "no map met the pigeonhole bound despite the averaging guarantee"
         )
-    best_T = None
-    best_count = None
+    if max_trials < 1:
+        raise PreconditionError(f"need max_trials >= 1, got {max_trials}")
+    # the first trial is counted exactly, each later one only as far as it
+    # could beat the best, so every count that is kept is exact
+    best_T = best_count = None
     for trials in range(1, max_trials + 1):
         coeffs = tuple(rng.below(q) for _ in range(m * n1**d))
         T = Tensor(field, n1, d, m, coeffs)
-        count = count_plane_tuples(T, limit=bound, cap=cap)
+        limit = None if best_count is None else best_count - 1
+        count = count_plane_tuples(T, limit=limit, cap=cap)
         if best_count is None or count < best_count:
             best_T, best_count = T, count
         if count <= bound:
@@ -437,14 +435,12 @@ def pigeonhole_search(
                 "trials": trials,
                 "met": True,
             }
-    # best effort: recount without the early-abort limit for honest reporting
-    best_count = count_plane_tuples(best_T, cap=cap)
     return best_T, {
         "tuple_count": best_count,
         "tuple_bound": bound,
         "exhaustive": False,
         "trials": max_trials,
-        "met": best_count <= bound,
+        "met": False,
     }
 
 

@@ -68,6 +68,12 @@ def _add_tensor_source(parser, kind_choice=True):
     )
 
 
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise PreconditionError(f"--{name} is required")
+
+
 def _load_tensor(args, kind=None):
     if args.tensor:
         if any(getattr(args, name, None) is not None for name in ("q", "n", "d", "m")):
@@ -77,11 +83,7 @@ def _load_tensor(args, kind=None):
         with open(args.tensor) as fh:
             T = tensor_from_dict(json.load(fh))
     else:
-        for name in ("q", "n", "d", "m"):
-            if getattr(args, name) is None:
-                raise PreconditionError(
-                    f"--{name} is required when no --tensor file is given"
-                )
+        _require(args, "q", "n", "d", "m")
         T = random_tensor(
             field_of_order(args.q),
             args.n,
@@ -175,6 +177,10 @@ def cmd_formula(args) -> int:
 def cmd_isotropy(args) -> int:
     cap = _cap(args)
     op = args.operation
+    if op in ("hom", "incidence-alt"):
+        _require(args, "k")
+    if op in ("field-min", "incidence-alt", "incidence-hom"):
+        _require(args, "q", "n", "d", "m")
     if op == "alt":
         T = _load_tensor(args, kind="alt")
         result = isotropy.alpha_alt(T, cap)
@@ -338,9 +344,7 @@ def cmd_tensor(args) -> int:
     if args.operation == "random":
         if args.tensor:
             raise PreconditionError("'tensor random' generates; --tensor makes no sense")
-        for name in ("q", "n", "d", "m"):
-            if getattr(args, name) is None:
-                raise PreconditionError(f"--{name} is required")
+        _require(args, "q", "n", "d", "m")
         T = random_tensor(
             field_of_order(args.q), args.n, args.d, args.m, args.kind, args.seed
         )
@@ -449,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="zero-set counts and analytic rank")
     p.add_argument("operation", choices=("zeros", "ar"))
     _add_tensor_source(p, kind_choice=False)
-    p.add_argument("--kind", choices=("hom",), default="hom", help=argparse.SUPPRESS)
     p.add_argument("--method", choices=("kernel", "raw"), default="kernel")
     _add_common(p)
     p.set_defaults(func=cmd_rank)

@@ -133,15 +133,6 @@ class Subspace:
         )
         return cls(field, n, rows, tuple(range(n)))
 
-    def contains(self, v: Sequence[int]) -> bool:
-        field = self.field
-        axpy, _ = field.row_ops()
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = axpy(v, field.neg(c), row)
-        return not any(v)
-
     def vectors(self) -> Iterator[tuple]:
         """All q^k vectors of the subspace (coefficient order)."""
         axpy, _ = self.field.row_ops()

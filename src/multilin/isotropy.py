@@ -20,9 +20,15 @@ on the field's row kernel (:meth:`multilin.field.Field.row_ops`).
 ``alpha_alt_by_scan`` is the independent oracle: a plain top-down
 Grassmannian scan that shares no code path with the DFS.
 
-``alpha_hom`` and the 2-dimensional tuple enumeration search d-tuples of
-subspaces slot by slot, pruning through partial contractions; the final
-slot is read off a joint kernel instead of being scanned.
+``alpha_hom``, the plane-tuple enumeration, the plane-tuple count and
+the hypergraph build of :mod:`multilin.boxfree` share one slot walk: it
+runs the first d - 1 slots over a list of subspace bases, stops at a
+prefix on which T vanishes (every later slot is then free), and reads the
+last slot off the joint kernel of the prefix's contractions instead of
+scanning it.  Contractions are memoised per tuple of basis rows, so each
+point tuple is contracted once per walk.  Listing callers expand the
+leaves into subspace tuples, the count adds their sizes, and the cap is
+charged one unit per node of the walk.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .tensor import (
     Tensor,
     _contract_first,
     alt_restricts_zero,
+    check_shape,
     expand,
     restrict_zero,
 )
@@ -245,7 +252,7 @@ def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
 
 
 # ---------------------------------------------------------------------------
-# general multilinear maps: slot-by-slot tuple search
+# general multilinear maps: one slot walk for tuples of subspaces
 # ---------------------------------------------------------------------------
 
 
@@ -276,54 +283,58 @@ def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Sub
         yield Subspace.span(field, n, vectors)
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
+    """Walk the first d - 1 slots of T over ``bases``, a list of row
+    tuples, and yield one (prefix, kernel) per leaf; ``prefix`` holds
+    indices into ``bases``, in lexicographic order.
 
-    def __init__(self, cap: int):
-        self.left = cap
+    A prefix's blocks are T contracted against every choice of one row
+    from each of its bases.  ``kernel`` is None when they all vanish, so
+    every later slot is free; otherwise the prefix has d - 1 entries and
+    ``kernel`` is the last slot's kernel of the stacked blocks.  Blocks are
+    memoised per tuple of rows: when every row is a canonical projective
+    point (RREF rows are) there are at most P^(d-1) of them.  The cap is
+    charged one unit per node, the root included."""
+    field, n, d, m = T.field, T.n, T.d, T.m
+    memo = {(): T.coeffs}
+    nodes = 0
 
-    def spend(self, amount: int = 1):
-        self.left -= amount
-        if self.left < 0:
-            raise CapExceededError("tuple search exceeded its cap")
+    def walk(prefix, keys):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError("slot walk exceeded its cap")
+        blocks = [memo[key] for key in keys]
+        if not any(map(any, blocks)):
+            yield prefix, None
+        elif len(prefix) == d - 1:
+            yield prefix, _last_slot_kernel(field, blocks, m, n)
+        else:
+            order = d - len(prefix)
+            for i, rows in enumerate(bases):
+                child = [key + (r,) for key in keys for r in rows]
+                for key in child:
+                    if key not in memo:
+                        memo[key] = _contract_first(
+                            field, memo[key[:-1]], m, n, order, key[-1]
+                        )
+                yield from walk(prefix + (i,), child)
+
+    return walk((), [()])
 
 
-def _tuple_search(
-    field: Field,
-    n: int,
-    m: int,
-    blocks,
-    s: int,
-    k: int,
-    gr_list,
-    budget: _Budget,
-    collect: bool,
-) -> Iterator[tuple]:
-    """Yield s-tuples of k-subspaces annihilating every block (order s)."""
-    if all(c == 0 for block in blocks for c in block):
-        budget.spend()
-        for tail in itertools.product(gr_list, repeat=s):
-            yield tail
-        return
-    if s == 1:
-        budget.spend()
-        kernel = _last_slot_kernel(field, blocks, m, n)
-        for V in _subspaces_within(field, n, kernel, k):
-            yield (V,)
-        return
-    for V in gr_list:
-        budget.spend()
-        new_blocks = [
-            _contract_first(field, block, m, n, s, row)
-            for block in blocks
-            for row in V.rows
-        ]
-        for tail in _tuple_search(
-            field, n, m, new_blocks, s - 1, k, gr_list, budget, collect
-        ):
-            yield (V,) + tail
-            if not collect:
-                return
+def _isotropic_tuples(T: Tensor, subs: list, k: int, cap: int) -> Iterator[tuple]:
+    """d-tuples of k-subspaces annihilating T, in walk order; ``subs`` is
+    every k-subspace.  A free leaf's tails run over ``subs`` in product
+    order, a kernel leaf's last slot over the k-subspaces of its kernel."""
+    for prefix, kernel in _slot_walk(T, [V.rows for V in subs], cap):
+        head = tuple(subs[i] for i in prefix)
+        if kernel is None:
+            for tail in itertools.product(subs, repeat=T.d - len(prefix)):
+                yield head + tail
+        else:
+            for V in _subspaces_within(T.field, T.n, kernel, k):
+                yield head + (V,)
 
 
 @dataclass(frozen=True)
@@ -352,18 +363,16 @@ def alpha_hom(T: Tensor, k: int, cap: int = DEFAULT_CAP) -> HomIsotropyResult:
         zero = Subspace.zero(field, n)
         return HomIsotropyResult(True, (zero,) * T.d, True)
     check_cap(gauss_binom(n, k, field.q), cap, "slot candidate list")
-    gr_list = list(enumerate_grassmannian(field, n, k, cap=cap))
-    budget = _Budget(cap)
+    subs = list(enumerate_grassmannian(field, n, k, cap=cap))
     try:
-        for tup in _tuple_search(
-            field, n, T.m, [T.coeffs], T.d, k, gr_list, budget, collect=False
-        ):
-            if not restrict_zero(T, tup):  # independent re-check
-                raise InvariantViolation("witness fails restriction check")
-            return HomIsotropyResult(True, tup, True)
+        tup = next(_isotropic_tuples(T, subs, k, cap), None)
     except CapExceededError:
         return HomIsotropyResult(False, None, False)
-    return HomIsotropyResult(False, None, True)
+    if tup is None:
+        return HomIsotropyResult(False, None, True)
+    if not restrict_zero(T, tup):  # independent re-check
+        raise InvariantViolation("witness fails restriction check")
+    return HomIsotropyResult(True, tup, True)
 
 
 def isotropic_plane_tuples(T: Tensor, cap: int = DEFAULT_CAP) -> list:
@@ -373,49 +382,29 @@ def isotropic_plane_tuples(T: Tensor, cap: int = DEFAULT_CAP) -> list:
         raise PreconditionError("plane-tuple enumeration needs a dense tensor")
     field, n = T.field, T.n
     check_cap(gauss_binom(n, 2, field.q) ** T.d, cap, "plane-tuple enumeration")
-    gr_list = list(enumerate_grassmannian(field, n, 2, cap=cap))
-    budget = _Budget(cap)
-    out = list(
-        _tuple_search(field, n, T.m, [T.coeffs], T.d, 2, gr_list, budget, collect=True)
-    )
+    planes = list(enumerate_grassmannian(field, n, 2, cap=cap))
+    out = list(_isotropic_tuples(T, planes, 2, cap))
     out.sort(key=lambda tup: tuple(V.rows for V in tup))
     return out
 
 
 def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAULT_CAP) -> int:
-    """|D| for D the set of plane tuples annihilating T, without listing.
-    When ``limit`` is given, counting stops at limit + 1."""
+    """|D| for D the set of plane tuples annihilating T, without listing:
+    each leaf of the slot walk adds its free tails or the planes of its
+    kernel.  When ``limit`` is given, counting stops once the count passes
+    it, so a result above ``limit`` is only a lower bound."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple counting needs a dense tensor")
-    field, n, m = T.field, T.n, T.m
-    q = field.q
-    total = gauss_binom(n, 2, q)
-    bail = limit if limit is not None else None
-    gr_list = list(enumerate_grassmannian(field, n, 2, cap=cap))
-    budget = _Budget(cap)
-
-    def rec(blocks, s):
-        if all(c == 0 for block in blocks for c in block):
-            return total**s
-        if s == 1:
-            kernel = _last_slot_kernel(field, blocks, m, n)
-            return gauss_binom(len(kernel), 2, q)
-        count = 0
-        for V in gr_list:
-            budget.spend()
-            count += rec(
-                [
-                    _contract_first(field, block, m, n, s, row)
-                    for block in blocks
-                    for row in V.rows
-                ],
-                s - 1,
-            )
-            if bail is not None and count > bail:
-                return count
-        return count
-
-    return rec([T.coeffs], T.d)
+    planes = list(enumerate_grassmannian(T.field, T.n, 2, cap=cap))
+    count = 0
+    for prefix, kernel in _slot_walk(T, [V.rows for V in planes], cap):
+        if kernel is None:
+            count += len(planes) ** (T.d - len(prefix))
+        else:
+            count += gauss_binom(len(kernel), 2, T.field.q)
+        if limit is not None and count > limit:
+            break
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +442,10 @@ def alpha_field_alt(
 ) -> FieldAlphaResult:
     """min over T in Alt^d(F^n, F^m) of alpha_alt(T): exact when the full
     coefficient space fits ``tensor_cap``, otherwise a sampled upper bound
-    (requires an explicit ``samples`` count)."""
+    (requires an explicit ``samples`` count, at least one)."""
+    check_shape(n, d, m)
+    if samples is not None and samples < 1:
+        raise PreconditionError(f"need samples >= 1, got {samples}")
     ncoef = m * comb(n, d)
     floor_value = min(d - 1, n)
     total = field.q**ncoef
@@ -490,10 +482,18 @@ def alpha_field_alt(
 # ---------------------------------------------------------------------------
 
 
+def _check_incidence(n: int, d: int, m: int, k: int) -> None:
+    """Reject a bad map shape or a subspace dimension k outside 0..n."""
+    check_shape(n, d, m)
+    if not 0 <= k <= n:
+        raise PreconditionError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
 def count_alt_incidence(field: Field, n: int, d: int, m: int, k: int) -> int:
     """|{(V, [T]) : V a k-subspace, T alternating nonzero up to scalar,
     T vanishes on V}| over F_q, by the fiber product formula: the maps
     vanishing on a fixed V form a subspace of codimension m * C(k, d)."""
+    _check_incidence(n, d, m, k)
     q = field.q
     fiber_dim = m * (comb(n, d) - comb(k, d))
     return gauss_binom(n, k, q) * ((q**fiber_dim - 1) // (q - 1))
@@ -502,6 +502,7 @@ def count_alt_incidence(field: Field, n: int, d: int, m: int, k: int) -> int:
 def count_hom_incidence(field: Field, n: int, d: int, m: int) -> int:
     """|{(U_1..U_d, [T]) : U_i 2-dimensional, T multilinear nonzero up to
     scalar, T vanishes on the product}|, fiber exponent m (n^d - 2^d)."""
+    _check_incidence(n, d, m, 2)
     q = field.q
     fiber_dim = m * (n**d - 2**d)
     return gauss_binom(n, 2, q) ** d * ((q**fiber_dim - 1) // (q - 1))
@@ -511,6 +512,7 @@ def count_alt_incidence_raw(
     field: Field, n: int, d: int, m: int, k: int, cap: int = DEFAULT_CAP
 ) -> int:
     """Raw enumeration cross-check of :func:`count_alt_incidence`."""
+    _check_incidence(n, d, m, k)
     q = field.q
     ncoef = m * comb(n, d)
     reps = (q**ncoef - 1) // (q - 1)
@@ -527,6 +529,7 @@ def count_hom_incidence_raw(
     field: Field, n: int, d: int, m: int, cap: int = DEFAULT_CAP
 ) -> int:
     """Raw enumeration cross-check of :func:`count_hom_incidence`."""
+    _check_incidence(n, d, m, 2)
     q = field.q
     ncoef = m * n**d
     reps = (q**ncoef - 1) // (q - 1)

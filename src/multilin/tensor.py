@@ -62,6 +62,12 @@ def _det(field: Field, rows: Sequence[Sequence[int]]) -> int:
     return acc
 
 
+def check_shape(n: int, d: int, m: int) -> None:
+    """Reject map shapes outside n >= 0, d >= 1, m >= 1."""
+    if n < 0 or d < 1 or m < 1:
+        raise PreconditionError("need n >= 0, d >= 1, m >= 1")
+
+
 def _contract_first(field: Field, flat, m: int, n: int, d: int, v) -> list:
     """Contract the first argument slot against vector v."""
     return _contract_slot(field, flat, m, n, d, v, 0)
@@ -107,8 +113,7 @@ class Tensor:
     kind = "hom"
 
     def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
-        if n < 0 or d < 1 or m < 1:
-            raise PreconditionError("need n >= 0, d >= 1, m >= 1")
+        check_shape(n, d, m)
         coeffs = tuple(coeffs)
         if len(coeffs) != m * n**d:
             raise PreconditionError(
@@ -159,8 +164,7 @@ class AltTensor:
     kind = "alt"
 
     def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
-        if n < 0 or d < 1 or m < 1:
-            raise PreconditionError("need n >= 0, d >= 1, m >= 1")
+        check_shape(n, d, m)
         coeffs = tuple(coeffs)
         if len(coeffs) != m * comb(n, d):
             raise PreconditionError(
@@ -338,6 +342,7 @@ def random_tensor(
 ):
     """Uniform coefficients from the seeded splitmix64 stream, drawn in
     storage order.  Same seed gives a bit-identical tensor everywhere."""
+    check_shape(n, d, m)  # comb(n, d) below raises ValueError on n < 0
     rng = SplitMix64(seed)
     if kind == "hom":
         count = m * n**d

@@ -21,7 +21,8 @@ from multilin.boxfree import (
 )
 from multilin.errors import DEFAULT_CAP, CapExceededError, PreconditionError
 from multilin.field import field_make, field_of_order
-from multilin.isotropy import isotropic_plane_tuples
+from multilin.isotropy import count_plane_tuples, isotropic_plane_tuples
+from multilin.prng import SplitMix64
 from multilin.tensor import Tensor, random_tensor, tensor_eval
 
 F2 = field_make(2)
@@ -188,6 +189,21 @@ def test_pigeonhole_search_sampling_mode():
     assert info["tuple_count"] <= 76 and info["met"]
 
 
+def test_pigeonhole_search_sampling_mode_reports_the_best_trial():
+    # seed 53: the first sampled map annihilates 441 plane tuples and the
+    # next three 77 each, all above the bound 76, so no trial meets it
+    T, info = pigeonhole_search(F2, 3, 2, 1, seed=53, max_trials=4, tensor_cap=1)
+    rng = SplitMix64(53)
+    exact = [
+        count_plane_tuples(Tensor(F2, 4, 2, 1, [rng.below(2) for _ in range(16)]))
+        for _ in range(4)
+    ]
+    assert info["tuple_count"] == min(exact) == count_plane_tuples(T)
+    assert not info["met"] and info["trials"] == 4
+    with pytest.raises(PreconditionError):
+        pigeonhole_search(F2, 3, 2, 1, tensor_cap=1, max_trials=0)
+
+
 def test_delete_and_verify_zero_tensor():
     Z = Tensor.zero(F2, 2, 2, 1)
     H = build_hypergraph(Z)
@@ -302,6 +318,27 @@ def test_build_matches_brute_force_evaluation(q, N, d, m, data):
         st.lists(st.integers(0, q - 1), min_size=m * N**d, max_size=m * N**d)
     )
     T = Tensor(F, N, d, m, coeffs)
+    assert build_hypergraph(T).edges == brute_force_edges(T)
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (3, 2), (4, 1)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_build_matches_brute_force_on_maps_vanishing_after_the_first_slot(q, m, data):
+    # T(x, y, z) = l(x) B(y, z): T vanishes on every first point x with
+    # l(x) = 0, so the walk stops there and the build takes every tail
+    F = field_of_order(q)
+    N = 3
+    elems = st.integers(0, q - 1)
+    l = data.draw(st.lists(elems, min_size=N, max_size=N))
+    B = data.draw(st.lists(elems, min_size=m * N * N, max_size=m * N * N))
+    coeffs = [
+        F.mul(l[i], B[o * N * N + r])
+        for o in range(m)
+        for i in range(N)
+        for r in range(N * N)
+    ]
+    T = Tensor(F, N, 3, m, coeffs)
     assert build_hypergraph(T).edges == brute_force_edges(T)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -371,3 +373,64 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["value"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    "isotropy hom --q 9 --n 3 --d 2 --m 1 --seed 4",  # no --k
+    "isotropy incidence-alt --q 2 --n 3 --d 2 --m 1",  # no --k
+    "isotropy field-min --q 2 --n 3 --d 2",  # no --m
+    "isotropy incidence-hom --q 2 --n 3 --d 2",  # no --m
+    "isotropy alt --q 4 --n -1 --d 2 --m 1",
+    "isotropy field-min --q 2 --n -1 --d 2 --m 1",
+    "isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k -1",
+    "isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k 5",
+    "isotropy incidence-hom --q 2 --n 1 --d 2 --m 1",  # no planes in F^1
+    "isotropy field-min --q 2 --n 3 --d 2 --m 1 --samples -3",
+    "isotropy field-min --q 2 --n 3 --d 2 --m 1 --samples 0",
+])
+def test_isotropy_bad_input_exits_2(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "precondition error" in captured.err
+
+
+# sha256 of each document with its timestamp value blanked: CLI documents
+# must stay byte-identical unless a change states why.  The hom witnesses
+# pin the first tuple in search order, the planes documents the sorted list
+PINNED_DOCUMENTS = {
+    "isotropy planes --q 2 --n 3 --d 2 --m 1 --seed 1":
+        "793dbca952b61bfc398ac4efed577f108e2fe21b9c5bb00eca9839944497438a",
+    "isotropy planes --q 2 --n 3 --d 3 --m 1 --seed 1":
+        "c8142cbea83815cca5530978f55f7095a0e157ec91a5440e9282445770f882a0",
+    "isotropy planes --q 3 --n 4 --d 2 --m 2 --seed 0":
+        "cdad9f3ad10d46b118ca770929cf2778be13df9a63a17715dc2d66dab6c81d5a",
+    "isotropy planes --q 4 --n 4 --d 2 --m 2 --seed 1":
+        "02b2c18610ddcc100f062f4084b5d27b5ba6cdd7c407fb90111c39f88a04be49",
+    "isotropy hom --q 2 --n 3 --d 2 --m 2 --k 1 --seed 1":
+        "bee3070254b2841b94fef3ea6989dfeed1f9db86bb5750e05e3e3bddcf0f82d9",
+    "isotropy hom --q 3 --n 4 --d 3 --m 4 --k 1 --seed 0":
+        "25b45c9a23f0f14f33b8a95b1cd09e2e44308fa454cec8a91d7f02e930463e96",
+    "isotropy hom --q 2 --n 4 --d 2 --m 2 --k 2 --seed 1":
+        "fff1b4d564d0abbee9540140cbe03475a8ebda6e29a6182d985e6ef7f2457504",
+    "isotropy hom --q 3 --n 4 --d 2 --m 2 --k 2 --seed 0":
+        "d9059b9ecb569e894468e1ffe6d037062e4414cceb4247073ddf8fd288529d35",
+    "isotropy hom --q 4 --n 4 --d 2 --m 2 --k 2 --seed 2":
+        "1097c74181af42f3252aa3fa0db66ca8bfa41199aa7b13e38b5649f595f61b84",
+    "boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph H.json":
+        "c387d0e17d0529a9718d4f880519a0dd6714b97ef463502e811c92f7aada5caf",
+}
+PINNED_HYPERGRAPH = "b540a1fec926da50db9229d7b1bacaaa33ef1c0915e92f2e208e58380ff9051f"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DOCUMENTS))
+def test_cli_documents_are_pinned(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # --hypergraph writes H.json here
+    assert main(argv.split()) == 0
+    out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
+    assert _sha256(out) == PINNED_DOCUMENTS[argv]
+    if "--hypergraph" in argv:
+        assert _sha256((tmp_path / "H.json").read_text()) == PINNED_HYPERGRAPH

@@ -60,7 +60,8 @@ def test_enumeration_order_pin():
 def test_zero_and_full_subspace():
     assert len(list(enumerate_grassmannian(F2, 3, 0))) == 1
     full = Subspace.full(F2, 3)
-    assert full.k == 3 and full.contains((1, 1, 1))
+    assert full.k == 3
+    assert Subspace.span(F2, 3, full.rows + ((1, 1, 1),)) == full
 
 
 def test_enumeration_cap():

@@ -2,6 +2,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
@@ -11,6 +13,7 @@ from multilin.isotropy import (
     alpha_alt,
     alpha_alt_by_scan,
     alpha_field_alt,
+    HomIsotropyResult,
     alpha_hom,
     count_alt_incidence,
     count_alt_incidence_raw,
@@ -245,6 +248,35 @@ def test_order_three_tuple_counts_match_brute_force():
         )
         assert count_plane_tuples(T) == brute
         assert len(isotropic_plane_tuples(T)) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plane_tuple_count_and_list_match_brute_force(data):
+    # count mode and list mode of the one slot walk against the unpruned
+    # product scan; small fields make prefixes on which T vanishes common
+    q = data.draw(st.sampled_from((2, 3, 4)))
+    N = data.draw(st.sampled_from((2, 3)))
+    d = data.draw(st.sampled_from((2, 3)))
+    m = data.draw(st.sampled_from((1, 2)))
+    size = m * N**d
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    T = Tensor(field_of_order(q), N, d, m, coeffs)
+    brute = _brute_tuples(T, 2)
+    listed = isotropic_plane_tuples(T)
+    assert [tuple(V.rows for V in tup) for tup in listed] == brute
+    assert count_plane_tuples(T) == len(listed) == len(brute)
+
+
+def test_slot_walk_cap_charges_one_unit_per_node():
+    # the identity form on F_2^3 vanishes on no plane, so the walk visits
+    # the root and one leaf per plane: 8 nodes
+    identity = Tensor(F2, 3, 2, 1, (1, 0, 0, 0, 1, 0, 0, 0, 1))
+    assert count_plane_tuples(identity, cap=8) == 0
+    with pytest.raises(CapExceededError):
+        count_plane_tuples(identity, cap=7)
+    assert alpha_hom(identity, 2, cap=8) == HomIsotropyResult(False, None, True)
+    assert alpha_hom(identity, 2, cap=7) == HomIsotropyResult(False, None, False)
 
 
 def test_alpha_hom_matches_brute_force_random():
