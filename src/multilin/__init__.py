@@ -53,7 +53,6 @@ from .isotropy import (
 from .formulas import (
     BoxExponent,
     ClosedForm,
-    ParamSet,
     alpha_alt_closed,
     alpha_bound,
     box_exponent,

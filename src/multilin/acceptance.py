@@ -222,7 +222,6 @@ def crit_extension_monotonicity(seed: int) -> dict:
     on 100 random alternating maps over F_2."""
     F2 = field_make(2)
     F4 = field_make(2, 2)
-    drops = 0
     gains = 0
     for i in range(100):
         n = 2 + (i % 3)  # n in {2, 3, 4}
@@ -234,7 +233,7 @@ def crit_extension_monotonicity(seed: int) -> dict:
         assert lo.index <= hi.index, (n, m, i, lo.index, hi.index)
         if hi.index > lo.index:
             gains += 1
-    return {"tensors": 100, "strict_gains": gains, "drops": drops}
+    return {"tensors": 100, "strict_gains": gains}
 
 
 def crit_analytic_rank(seed: int) -> dict:

@@ -142,7 +142,10 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     points = tuple(projective_points(field_of_order(q), n + 1))
     edges = set()
     for ln in lines[1:]:
-        edge = tuple(int(tok) for tok in ln.split())
+        try:
+            edge = tuple(int(tok) for tok in ln.split())
+        except ValueError:
+            raise PreconditionError(f"non-integer vertex in edge line {ln!r}") from None
         if len(edge) != d or any(not 0 <= i < len(points) for i in edge):
             raise PreconditionError(f"bad edge line {ln!r}")
         edges.add(edge)

@@ -5,9 +5,12 @@ envelope {"command", "params", "timestamp", ...payload}.  Counts that can
 exceed 2^53 are serialized as decimal strings.  Identical argv and seed
 give byte-identical output except for the timestamp field.
 
-Exit codes: 0 success, 2 precondition violated, 3 enumeration cap
-exceeded, 4 invariant violation (e.g. a freeness failure, which would
-falsify a verified argument), 1 selftest failure.
+Exit codes: 0 success, 2 precondition violated (a missing or bad flag,
+an input file that cannot be read or parsed, an output path that cannot
+be written), 3 enumeration cap exceeded, 4 invariant violation (e.g. a
+freeness failure, which would falsify a verified argument), 1 selftest
+failure.  Files are read only through ``_read`` and written, like
+stdout, only through ``_write``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from datetime import datetime, timezone
 from . import acceptance, boxfree, formulas, grassmann, isotropy, rank
 from .errors import DEFAULT_CAP, CapExceededError, InvariantViolation, PreconditionError
 from .field import field_make, field_of_order
-from .formulas import ParamSet
 from .tensor import base_change, random_tensor, tensor_from_dict
 
 
@@ -71,7 +73,41 @@ def _add_tensor_source(parser, kind_choice=True):
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise PreconditionError(f"--{name} is required")
+            raise PreconditionError(f"--{name.replace('_', '-')} is required")
+
+
+def _read(path: str) -> str:
+    """Text of the file at ``path``; an unreadable file is a precondition
+    error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise PreconditionError(f"{path} is not a text file") from None
+
+
+def _read_json(path: str, text: str | None = None):
+    """The JSON document in the file at ``path`` (``text`` if it was
+    already read); malformed JSON is a precondition error."""
+    try:
+        return json.loads(_read(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"{path} is not a JSON document: {exc}") from None
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when ``path``
+    is None; an unwritable path is a precondition error."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_tensor(args, kind=None):
@@ -80,8 +116,7 @@ def _load_tensor(args, kind=None):
             raise PreconditionError(
                 "give either --tensor or generation parameters, not both"
             )
-        with open(args.tensor) as fh:
-            T = tensor_from_dict(json.load(fh))
+        T = tensor_from_dict(_read_json(args.tensor))
     else:
         _require(args, "q", "n", "d", "m")
         T = random_tensor(
@@ -104,14 +139,8 @@ def _load_tensor(args, kind=None):
 
 
 def _emit(args, payload: dict) -> None:
-    payload = dict(payload)
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    stamped = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
+    _write(args.out, json.dumps(stamped, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -119,52 +148,42 @@ def _emit(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _generic(value) -> dict:
+    return {"value": value, "branch": "generic"}
+
+
+def _box_exponent(args) -> dict:
+    exponent, admissible = formulas.box_exponent(args.n, args.d, args.m)
+    return {**_generic(str(exponent)), "admissible": admissible}
+
+
+# quantity -> (the flags it needs, evaluator of the document's value fields)
+FORMULAS = {
+    "alpha-bound": (("n", "d", "m"), lambda a: _generic(formulas.alpha_bound(a.n, a.d, a.m))),
+    "alpha-alt": (
+        ("n", "d", "m"),
+        lambda a: formulas.alpha_alt_closed(a.n, a.d, a.m, a.char_zero)._asdict(),
+    ),
+    "fp": (("d", "m", "k"), lambda a: formulas.fp_number(a.d, a.m, a.k, a.char_zero)._asdict()),
+    "turan": (
+        ("n", "d", "k"),
+        lambda a: formulas.turan_number(a.n, a.d, a.k, a.char_zero)._asdict(),
+    ),
+    "gq": (("n", "d"), lambda a: formulas.gq_number(a.n, a.d)._asdict()),
+    "iso2": (("n", "d", "m"), lambda a: _generic(formulas.has_plane_isotropy(a.n, a.d, a.m))),
+    "box-exponent": (("n", "d", "m"), _box_exponent),
+}
+
+
 def cmd_formula(args) -> int:
-    name = args.quantity
-    params = ParamSet(
-        n=args.n or 0,
-        d=args.d or 0,
-        m=args.m or 0,
-        k=args.k or 0,
-        char_zero=args.char_zero,
-    ).as_dict()
-    if name == "alpha-bound":
-        value, branch = formulas.alpha_bound(args.n, args.d, args.m), "generic"
-    elif name == "alpha-alt":
-        value, branch = formulas.alpha_alt_closed(args.n, args.d, args.m, args.char_zero)
-    elif name == "fp":
-        value, branch = formulas.fp_number(args.d, args.m, args.k, args.char_zero)
-    elif name == "turan":
-        value, branch = formulas.turan_number(args.n, args.d, args.k, args.char_zero)
-    elif name == "gq":
-        value, branch = formulas.gq_number(args.n, args.d)
-    elif name == "iso2":
-        value, branch = formulas.has_plane_isotropy(args.n, args.d, args.m), "generic"
-    elif name == "box-exponent":
-        exponent, admissible = formulas.box_exponent(args.n, args.d, args.m)
-        _emit(
-            args,
-            {
-                "command": "formula",
-                "quantity": name,
-                "params": params,
-                "value": str(exponent),
-                "admissible": admissible,
-                "branch": "generic",
-            },
-        )
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown quantity {name}")
+    needs, evaluate = FORMULAS[args.quantity]
+    _require(args, *needs)
+    params = {name: getattr(args, name) for name in ("n", "d", "m", "k") if getattr(args, name)}
+    if args.char_zero:
+        params["char_zero"] = True
     _emit(
         args,
-        {
-            "command": "formula",
-            "quantity": name,
-            "params": params,
-            "value": value,
-            "branch": branch,
-        },
+        {"command": "formula", "quantity": args.quantity, "params": params, **evaluate(args)},
     )
     return 0
 
@@ -265,22 +284,19 @@ def cmd_grassmann(args) -> int:
             "count": str(len(subs)),
             "subspaces": [S.to_dict() for S in subs],
         }
-    else:  # strata
+    elif args.format == "csv":  # strata table
         profile = grassmann.stratum_profile(F, args.n, args.k, cap)
-        if args.format == "csv":
-            lines = ["l,count"] + [f"{l},{c}" for l, c in sorted(profile.items())]
-            text = "\n".join(lines) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-        if args.l is not None:
-            payload = {"l": args.l, "count": str(grassmann.stratum_count(F, args.n, args.k, args.l, cap))}
-        else:
-            payload = {"profile": {str(l): str(c) for l, c in sorted(profile.items())}}
+        lines = ["l,count"] + [f"{l},{c}" for l, c in sorted(profile.items())]
+        _write(args.out, "\n".join(lines) + "\n")
+        return 0
+    else:  # strata
         params["l"] = args.l
+        if args.l is not None:
+            count = grassmann.stratum_count(F, args.n, args.k, args.l, cap)
+            payload = {"l": args.l, "count": str(count)}
+        else:
+            profile = grassmann.stratum_profile(F, args.n, args.k, cap)
+            payload = {"profile": {str(l): str(c) for l, c in sorted(profile.items())}}
     payload["command"] = f"grassmann-{args.operation}"
     payload["params"] = params
     _emit(args, payload)
@@ -295,18 +311,17 @@ def cmd_grassmann(args) -> int:
 def cmd_boxfree(args) -> int:
     cap = _cap(args)
     if args.operation == "gen":
+        _require(args, "q", "n", "d", "m")
         F = field_of_order(args.q)
         result = boxfree.box_pipeline(
             F, args.n, args.d, args.m, seed=args.seed, max_trials=args.max_trials, cap=cap
         )
         if args.hypergraph:
             if args.format == "text":
-                header = f"# {args.d} {args.n} {args.q} {args.m}"
-                with open(args.hypergraph, "w") as fh:
-                    fh.write(result.after.to_text(header))
+                text = result.after.to_text(f"# {args.d} {args.n} {args.q} {args.m}")
             else:
-                with open(args.hypergraph, "w") as fh:
-                    json.dump(result.after.to_dict(), fh)
+                text = json.dumps(result.after.to_dict())
+            _write(args.hypergraph, text)
         payload = {
             "command": "boxfree-gen",
             "params": {"q": args.q, "n": args.n, "d": args.d, "m": args.m, "seed": args.seed},
@@ -317,12 +332,12 @@ def cmd_boxfree(args) -> int:
         _emit(args, payload)
         return 0
     # verify: freeness of a stored hypergraph (JSON, or the text edge list)
-    with open(args.hypergraph_in) as fh:
-        raw = fh.read()
+    _require(args, "hypergraph_in")
+    raw = _read(args.hypergraph_in)
     if raw.lstrip().startswith("#"):
         H = boxfree.hypergraph_from_text(raw)
     else:
-        H = boxfree.Hypergraph.from_dict(json.loads(raw))
+        H = boxfree.Hypergraph.from_dict(_read_json(args.hypergraph_in, raw))
     free, witness = boxfree.freeness_check(H, cap)
     payload = {
         "command": "boxfree-verify",
@@ -351,20 +366,12 @@ def cmd_tensor(args) -> int:
         if args.r > 1:
             T = base_change(T, field_make(T.field.p, T.field.e * args.r))
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(T.to_dict(), fh, indent=2, sort_keys=True)
+            _write(args.out, json.dumps(T.to_dict(), indent=2, sort_keys=True))
             args.out = None  # the envelope goes to stdout
-            _emit(args, {
-                "command": "tensor-random",
-                "params": _source_params(args),
-                "written": True,
-            })
+            payload = {"written": True}
         else:
-            _emit(args, {
-                "command": "tensor-random",
-                "params": _source_params(args),
-                "tensor": T.to_dict(),
-            })
+            payload = {"tensor": T.to_dict()}
+        _emit(args, {"command": "tensor-random", "params": _source_params(args), **payload})
         return 0
     T = _load_tensor(args)
     payload = {
@@ -426,10 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("formula", help="closed-form extremal quantities")
-    p.add_argument(
-        "quantity",
-        choices=("alpha-bound", "alpha-alt", "fp", "turan", "gq", "iso2", "box-exponent"),
-    )
+    p.add_argument("quantity", choices=tuple(FORMULAS))
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)

@@ -102,10 +102,13 @@ def _poly_mul(a, b, p):
 
 
 def _poly_mod(a, mod, p):
+    """Remainder of a modulo ``mod``, whose leading coefficient may be any
+    nonzero residue."""
     a = list(a)
     dm = len(mod) - 1
+    inv_lead = pow(mod[-1], -1, p)
     while len(a) > dm:
-        coef = a[-1] % p
+        coef = a[-1] * inv_lead % p
         if coef:
             for i in range(dm + 1):
                 a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - coef * mod[i]) % p
@@ -284,6 +287,10 @@ class Field:
                 alog[i] = alog[i + top] = a
                 log[a] = i
                 cur = _poly_mulmod(cur, gen, mod, p)
+            if log[0] != 2 * top or log.count(2 * top) != 1:
+                raise InvariantViolation(
+                    f"the powers of {gen} do not reach every nonzero element"
+                )
             if p != 2:
                 # 1 + x is (x + one) % q: ``one`` is the leading digit
                 self._zech = [log[(alog[k] + self.one) % q] for k in range(2 * top)]
@@ -438,7 +445,8 @@ def field_make(p: int, e: int = 1) -> Field:
         raise PreconditionError(f"field order {p**e} exceeds scope cap {ORDER_CAP}")
     if e == 1:
         return Field(p, 1, (0, 1))
-    for tail in itertools.product(range(p), repeat=e):
+    # a zero constant term makes x a factor, so c_0 starts at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         poly = tail + (1,)
         if _is_irreducible(poly, p):
             return Field(p, e, poly)

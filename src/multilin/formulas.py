@@ -7,11 +7,15 @@ are precisely where these quantities live, so no floats appear anywhere.
 The m = 1 closed forms are only valid in characteristic zero; callers must
 set ``char_zero=True`` explicitly to use them, otherwise the evaluators
 refuse rather than silently overclaim.
+
+Each extremal number comes back as a :class:`ClosedForm`: its value and
+the branch of the formula that produced it, which ``multilin formula``
+emits as the document's ``value`` and ``branch``.  ``box_exponent``
+returns a :class:`BoxExponent`, the exponent with its admissibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional
@@ -22,27 +26,6 @@ from .errors import InvariantViolation, PreconditionError
 class ClosedForm(NamedTuple):
     value: int
     branch: str
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """Parameter bundle threading the formula evaluators."""
-
-    n: int = 0
-    d: int = 0
-    m: int = 0
-    k: int = 0
-    char_zero: bool = False
-
-    def as_dict(self) -> dict:
-        out = {}
-        for name in ("n", "d", "m", "k"):
-            v = getattr(self, name)
-            if v:
-                out[name] = v
-        if self.char_zero:
-            out["char_zero"] = True
-        return out
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -7,11 +7,11 @@ as subspaces iff their basis matrices coincide.  Enumeration is ordered by
 pivot-column set (lexicographic) and then by the free entries in row-major
 element order, so every count here is reproducible bit for bit.
 
-Counting strata of pairs by intersection dimension is done by enumeration;
-when the full pair scan exceeds the cap, the count for one fixed first
-factor is multiplied by the Grassmannian size (the general linear group
-acts transitively on k-subspaces, so the fixed-factor count is independent
-of the choice).  Both routes agree wherever both run.
+Strata of pairs are counted by intersection dimension against one fixed
+first factor, multiplied by the Grassmannian size: the general linear
+group acts transitively on k-subspaces, so the fixed-factor count does
+not depend on the choice.  The full pair scan stays as the oracle, and
+both routes agree wherever both run.
 """
 
 from __future__ import annotations
@@ -133,17 +133,6 @@ class Subspace:
         )
         return cls(field, n, rows, tuple(range(n)))
 
-    def vectors(self) -> Iterator[tuple]:
-        """All q^k vectors of the subspace (coefficient order)."""
-        axpy, _ = self.field.row_ops()
-        zero = (0,) * self.n
-        for coefs in itertools.product(self.field.elements(), repeat=self.k):
-            v = zero
-            for c, row in zip(coefs, self.rows):
-                if c:
-                    v = axpy(v, c, row)
-            yield tuple(v)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -226,17 +215,14 @@ def stratum_dim(n: int, k: int, l: int) -> int:
 
 
 def stratum_profile(
-    field: Field, n: int, k: int, cap: int = DEFAULT_CAP, method: str = "auto"
+    field: Field, n: int, k: int, cap: int = DEFAULT_CAP, method: str = "fixed"
 ) -> dict:
     """Counts of ordered pairs (U, V) in Gr(k)^2 by intersection dimension.
 
-    method 'pairs' scans the full square; 'fixed' counts against one fixed
-    U and multiplies by |Gr| (valid by transitivity); 'auto' picks 'pairs'
-    while the square fits the cap.
+    method 'fixed' counts against one fixed U and multiplies by |Gr|
+    (valid by transitivity); 'pairs' scans the full square, the oracle.
     """
     total = gauss_binom(n, k, field.q)
-    if method == "auto":
-        method = "pairs" if total * total <= cap else "fixed"
     lo = max(0, 2 * k - n)
     profile = {l: 0 for l in range(lo, k + 1)}
     if method == "pairs":
@@ -258,20 +244,13 @@ def stratum_profile(
     return profile
 
 
-def stratum_count(
-    field: Field,
-    n: int,
-    k: int,
-    l: int,
-    cap: int = DEFAULT_CAP,
-    method: str = "auto",
-) -> int:
+def stratum_count(field: Field, n: int, k: int, l: int, cap: int = DEFAULT_CAP) -> int:
     """|{(U, V) in Gr(k)^2 : dim(U cap V) = l}| over F_q, exact."""
     if not max(0, 2 * k - n) <= l <= k:
         raise PreconditionError(
             f"l={l} outside admissible range [{max(0, 2 * k - n)}, {k}]"
         )
-    return stratum_profile(field, n, k, cap, method)[l]
+    return stratum_profile(field, n, k, cap)[l]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -6,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from multilin.cli import main
+from multilin.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -418,8 +419,30 @@ PINNED_DOCUMENTS = {
         "1097c74181af42f3252aa3fa0db66ca8bfa41199aa7b13e38b5649f595f61b84",
     "boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph H.json":
         "c387d0e17d0529a9718d4f880519a0dd6714b97ef463502e811c92f7aada5caf",
+    "formula alpha-bound --n 9 --d 3 --m 2":
+        "5bd01c6f8992d3ec8b873ae77d060a649809b2c31ed1dd6c4fdcc01564a7106e",
+    "formula alpha-alt --n 7 --d 3 --m 1 --char-zero":
+        "8f8e93fbb47afe1e8c18d9061da11578bc201dca7403f8c83d78e0b4763fa303",
+    "formula fp --d 3 --m 1 --k 5 --char-zero":
+        "e0f9a0140bfea9ee2d83b86855eed40aefcd08f49d685776d9efa3a5aecf6a0a",
+    "formula turan --n 7 --d 3 --k 3":
+        "e1ba671b5011b44376cd3855623a9c05f7410cdc075009f353c02e7875b05dfa",
+    "formula gq --n 9 --d 3":
+        "35440cd316d1b99266084961a5afc722097fad11e6b2b59a391a3ca620c972f8",
+    "formula iso2 --n 5 --d 3 --m 2":
+        "ba90dea3bf27c15ab58982a8cd20f353c0456208963b8c69eac1f2b0d3be5244",
+    "formula box-exponent --n 3 --d 2 --m 1":
+        "95044376b50c97db3c0c3bf6fc519aacc7af1125d30ebc19731ba2f736358ab7",
+    "grassmann strata --q 3 --n 4 --k 2 --format csv":
+        "f0f3c110ad8747ab46951646ea08bed37728dc297382e416b2dd9599d4ea8e77",
+    "tensor random --q 9 --n 3 --d 2 --m 2 --kind alt --seed 5 --out T.json":
+        "80f240b56be19e420f03465b00b0c9e038aa37d9faf5445d187d29add554bba7",
 }
-PINNED_HYPERGRAPH = "b540a1fec926da50db9229d7b1bacaaa33ef1c0915e92f2e208e58380ff9051f"
+# sha256 of the files those invocations write
+PINNED_FILES = {
+    "H.json": "b540a1fec926da50db9229d7b1bacaaa33ef1c0915e92f2e208e58380ff9051f",
+    "T.json": "a0458728d5aba1aab55a25d4443576c1d4a5ae06ca7fdb42cc1cb0e75c2b4bc2",
+}
 
 
 def _sha256(text):
@@ -428,9 +451,134 @@ def _sha256(text):
 
 @pytest.mark.parametrize("argv", sorted(PINNED_DOCUMENTS))
 def test_cli_documents_are_pinned(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)  # --hypergraph writes H.json here
+    monkeypatch.chdir(tmp_path)  # --hypergraph and --out write here
     assert main(argv.split()) == 0
     out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert _sha256(out) == PINNED_DOCUMENTS[argv]
-    if "--hypergraph" in argv:
-        assert _sha256((tmp_path / "H.json").read_text()) == PINNED_HYPERGRAPH
+    for name in set(argv.split()) & set(PINNED_FILES):
+        assert _sha256((tmp_path / name).read_text()) == PINNED_FILES[name]
+
+
+# One small valid invocation per subcommand and operation.  FREE.json is a
+# box-free hypergraph the sweep writes first.
+VALID = {
+    "formula alpha-bound": "--n 5 --d 2 --m 2",
+    "formula alpha-alt": "--n 5 --d 2 --m 2",
+    "formula fp": "--d 2 --m 2 --k 2",
+    "formula turan": "--n 7 --d 3 --k 3",
+    "formula gq": "--n 5 --d 2",
+    "formula iso2": "--n 5 --d 2 --m 2",
+    "formula box-exponent": "--n 3 --d 2 --m 1",
+    "isotropy alt": "--q 2 --n 3 --d 2 --m 1 --kind alt",
+    "isotropy hom": "--q 2 --n 3 --d 2 --m 1 --k 1",
+    "isotropy field-min": "--q 2 --n 3 --d 2 --m 1",
+    "isotropy incidence-alt": "--q 2 --n 3 --d 2 --m 1 --k 1",
+    "isotropy incidence-hom": "--q 2 --n 3 --d 2 --m 1",
+    "isotropy planes": "--q 2 --n 3 --d 2 --m 1",
+    "rank zeros": "--q 2 --n 2 --d 2 --m 1",
+    "rank ar": "--q 2 --n 2 --d 2 --m 1",
+    "grassmann enum": "--q 2 --n 3 --k 1",
+    "grassmann count": "--q 2 --n 3 --k 1",
+    "grassmann strata": "--q 2 --n 3 --k 1",
+    "boxfree gen": "--q 2 --n 3 --d 2 --m 1",
+    "boxfree verify": "--hypergraph-in FREE.json",
+    "tensor random": "--q 2 --n 2 --d 2 --m 1",
+    "tensor show": "--q 2 --n 2 --d 2 --m 1",
+}
+# the same operations reading a file that does not exist
+MISSING_FILE = {
+    "isotropy alt": "--tensor missing.json",
+    "isotropy hom": "--tensor missing.json --k 1",
+    "isotropy planes": "--tensor missing.json",
+    "rank zeros": "--tensor missing.json",
+    "rank ar": "--tensor missing.json",
+    "tensor show": "--tensor missing.json",
+    "boxfree verify": "--hypergraph-in missing.json",
+}
+# operations whose parser takes an input file but which generate their input
+GENERATES = {
+    "boxfree gen",
+    "isotropy field-min",
+    "isotropy incidence-alt",
+    "isotropy incidence-hom",
+    "tensor random",
+}
+
+
+def _operations():
+    """Each 'command operation' of the parser (selftest has no operation),
+    with the options its subcommand takes."""
+    out = {}
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, sub in commands.choices.items():
+        positional = [a for a in sub._actions if not a.option_strings and a.choices]
+        options = {o for a in sub._actions for o in a.option_strings}
+        for op in positional[0].choices if positional else ():
+            out[f"{command} {op}"] = options
+    return out
+
+
+OPERATIONS = _operations()
+
+
+def test_sweep_covers_every_operation():
+    assert "selftest" not in " ".join(OPERATIONS)
+    assert set(VALID) == set(OPERATIONS)
+    inputs = {"--tensor", "--hypergraph-in"}
+    readers = {op for op, options in OPERATIONS.items() if options & inputs}
+    assert set(MISSING_FILE) == readers - GENERATES
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op):
+    monkeypatch.chdir(tmp_path)
+    free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
+    (tmp_path / "FREE.json").write_text(json.dumps(free))
+    assert _exit_code((op + " " + VALID[op]).split()) == 0
+    capsys.readouterr()
+    cases = [op, op + " " + VALID[op] + " --out nodir/out.json"]
+    if op in MISSING_FILE:
+        cases.append(op + " " + MISSING_FILE[op])
+    for argv in cases:
+        assert _exit_code(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.err, argv
+    assert not (tmp_path / "nodir").exists()
+    # leaving out any one flag either still works or exits 2
+    flags = VALID[op].split()
+    for i in range(0, len(flags), 2):
+        argv = op.split() + flags[:i] + flags[i + 2 :]
+        assert _exit_code(argv) in (0, 2), argv
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("formula gq", id="formula-without-flags"),
+    pytest.param("formula turan --n 3 --d 2", id="formula-without-k"),
+    pytest.param("boxfree gen --q 2", id="boxfree-gen-without-n-d-m"),
+    pytest.param("boxfree verify", id="boxfree-verify-without-input"),
+    pytest.param("rank zeros --tensor notjson.json", id="tensor-file-not-json"),
+    pytest.param("tensor show --tensor binary.json", id="tensor-file-not-text"),
+    pytest.param("boxfree verify --hypergraph-in badtoken.txt", id="hypergraph-text-token"),
+    pytest.param("boxfree verify --hypergraph-in notjson.json", id="hypergraph-not-json"),
+    pytest.param("grassmann strata --q 2 --n 3 --k 2 --format csv --out nodir/x.csv",
+                 id="csv-out-in-missing-dir"),
+    pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph nodir/h.json",
+                 id="hypergraph-out-in-missing-dir"),
+])
+def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notjson.json").write_text("{not json")
+    (tmp_path / "badtoken.txt").write_text("# 2 2 2 1\n0 x\n")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "precondition error" in captured.err

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multilin.errors import PreconditionError
+from multilin import field as field_module
+from multilin.errors import InvariantViolation, PreconditionError
 from multilin.field import (
     Field,
+    _is_irreducible,
     _poly_mulmod,
     _poly_powmod,
     _poly_trim,
@@ -15,6 +17,8 @@ from multilin.field import (
     field_of_order,
     is_prime,
 )
+from multilin.rank import zero_count
+from multilin.tensor import random_tensor
 
 # every prime power up to 64
 SMALL_ORDERS = [
@@ -29,6 +33,14 @@ def test_canonical_moduli():
     assert field_make(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     # lex comparison is low-degree first: x^3 + x^2 + 1 beats x^3 + x + 1
     assert field_make(2, 3).modulus == (1, 0, 1, 1)
+    # odd orders beyond the trial-division sweep below, where a Rabin gcd
+    # step that divides by a non-monic remainder goes wrong (values checked
+    # with sympy)
+    assert field_make(3, 6).modulus == (1, 0, 0, 0, 1, 1, 1)
+    assert field_make(3, 9).modulus == (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)
+    assert field_make(3, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)
+    assert field_make(5, 6).modulus == (1, 0, 0, 0, 1, 1, 1)
+    assert field_make(7, 5).modulus == (1, 0, 0, 0, 3, 1)
 
 
 def test_field_make_validation():
@@ -225,3 +237,69 @@ def test_arithmetic_matches_coefficient_oracle_sampled(q):
     draw = lambda: rng.choice([0, F.one, rng.randrange(q)])  # noqa: E731
     pairs = [(draw(), draw()) for _ in range(1500)]
     check_against_oracle(F, pairs + [(a, coeff_neg(F, a)) for a, _ in pairs[:200]])
+
+
+# Independent oracle for irreducibility: plain trial division by every
+# monic polynomial of degree 1 .. e/2, with its own long division.
+IRREDUCIBILITY_ORDERS = [
+    (p, e)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+    for e in range(2, 8)
+    if p**e <= 5000
+]
+
+
+def divides(g, f, p):
+    """Whether the monic g divides f over F_p (both low degree first)."""
+    rem = list(f)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = rem[top]
+        if c:
+            for i, gi in enumerate(g):
+                rem[top - len(g) + 1 + i] = (rem[top - len(g) + 1 + i] - c * gi) % p
+    return not any(rem)
+
+
+def irreducible_by_trial_division(f, p):
+    e = len(f) - 1
+    for k in range(1, e // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            if divides(tail + (1,), f, p):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, e", IRREDUCIBILITY_ORDERS)
+def test_is_irreducible_matches_trial_division(p, e):
+    first = None
+    for tail in itertools.product(range(p), repeat=e):
+        f = tail + (1,)
+        expect = irreducible_by_trial_division(f, p)
+        assert _is_irreducible(f, p) == expect, f
+        if expect and first is None:
+            first = f
+    # the canonical modulus is the first irreducible in lex order
+    assert field_make(p, e).modulus == first
+
+
+def test_f15625_arithmetic_is_a_field():
+    # 1 + 3x^4 + x^5 + x^6 = (x - 2)(x^2 - x + 2)(x^3 - x^2 + x + 1) over F_5
+    with pytest.raises(PreconditionError, match="reducible"):
+        Field(5, 6, (1, 0, 0, 0, 3, 1, 1))
+    F = field_make(5, 6)
+    rng = random.Random(15625)
+    for a in [1, 2, F.one, F.q - 1] + [rng.randrange(1, F.q) for _ in range(500)]:
+        assert F.mul(a, F.inv(a)) == F.one, a
+        assert coeff_mul(F, a, F.inv(a)) == F.one, a
+    # c*x*y with c != 0 vanishes on the two axes: 2q - 1 zeros
+    T = random_tensor(F, 1, 2, 1, "hom", seed=0)
+    assert T.coeffs[0] and zero_count(T) == 2 * F.q - 1
+
+
+def test_log_tables_refuse_a_reducible_modulus(monkeypatch):
+    # Field() refuses reducible moduli; with that check bypassed, the log
+    # tables must still not be built on a ring that is not a field
+    monkeypatch.setattr(field_module, "_is_irreducible", lambda poly, p: True)
+    F = Field(5, 2, (4, 0, 1))  # x^2 - 1 = (x - 1)(x + 1)
+    with pytest.raises(InvariantViolation):
+        F.mul(F.one, F.one)

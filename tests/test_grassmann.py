@@ -189,10 +189,3 @@ def test_subspace_serialization():
     S = Subspace.span(F3, 3, [(1, 2, 0), (0, 0, 1)])
     again = Subspace.from_dict(F3, S.to_dict())
     assert again == S
-
-
-def test_subspace_vectors():
-    S = Subspace.span(F2, 3, [(1, 0, 1), (0, 1, 0)])
-    vs = set(S.vectors())
-    assert len(vs) == 4
-    assert (0, 0, 0) in vs and (1, 1, 1) in vs
