@@ -6,11 +6,12 @@ exceed 2^53 are serialized as decimal strings.  Identical argv and seed
 give byte-identical output except for the timestamp field.
 
 Exit codes: 0 success, 2 precondition violated (a missing or bad flag,
-an input file that cannot be read or parsed, an output path that cannot
-be written), 3 enumeration cap exceeded, 4 invariant violation (e.g. a
-freeness failure, which would falsify a verified argument), 1 selftest
-failure.  Files are read only through ``_read`` and written, like
-stdout, only through ``_write``.
+an input flag the operation would not read, an input file that cannot be
+read or parsed, an output path that cannot be written), 3 enumeration cap
+exceeded, 4 invariant violation (e.g. a freeness failure, which would
+falsify a verified argument), 1 selftest failure.  Files are read only
+through ``_read`` and written, like stdout, only through ``_write``;
+output paths are checked before the work starts.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _require(args, *names) -> None:
             raise PreconditionError(f"--{name.replace('_', '-')} is required")
 
 
+def _refuse(args, name: str) -> None:
+    """Reject a flag that the operation would not read."""
+    if getattr(args, name) is not None:
+        raise PreconditionError(
+            f"'{args.command} {args.operation}' does not read --{name.replace('_', '-')}"
+        )
+
+
 def _read(path: str) -> str:
     """Text of the file at ``path``; an unreadable file is a precondition
     error."""
@@ -95,6 +104,17 @@ def _read_json(path: str, text: str | None = None):
         return json.loads(_read(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"{path} is not a JSON document: {exc}") from None
+
+
+def _check_writable(path: str | None) -> None:
+    """Fail before any work when the file at ``path`` could not be
+    written; the file itself is created only by ``_write``."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if not os.path.isdir(folder) or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise PreconditionError(f"cannot write {path}: not a writable file path")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -199,6 +219,7 @@ def cmd_isotropy(args) -> int:
     if op in ("hom", "incidence-alt"):
         _require(args, "k")
     if op in ("field-min", "incidence-alt", "incidence-hom"):
+        _refuse(args, "tensor")
         _require(args, "q", "n", "d", "m")
     if op == "alt":
         T = _load_tensor(args, kind="alt")
@@ -285,6 +306,8 @@ def cmd_grassmann(args) -> int:
             "subspaces": [S.to_dict() for S in subs],
         }
     elif args.format == "csv":  # strata table
+        if args.l is not None:
+            raise PreconditionError("--format csv writes the whole profile; --l is not read")
         profile = grassmann.stratum_profile(F, args.n, args.k, cap)
         lines = ["l,count"] + [f"{l},{c}" for l, c in sorted(profile.items())]
         _write(args.out, "\n".join(lines) + "\n")
@@ -311,6 +334,7 @@ def cmd_grassmann(args) -> int:
 def cmd_boxfree(args) -> int:
     cap = _cap(args)
     if args.operation == "gen":
+        _refuse(args, "hypergraph_in")
         _require(args, "q", "n", "d", "m")
         F = field_of_order(args.q)
         result = boxfree.box_pipeline(
@@ -357,8 +381,7 @@ def cmd_boxfree(args) -> int:
 
 def cmd_tensor(args) -> int:
     if args.operation == "random":
-        if args.tensor:
-            raise PreconditionError("'tensor random' generates; --tensor makes no sense")
+        _refuse(args, "tensor")
         _require(args, "q", "n", "d", "m")
         T = random_tensor(
             field_of_order(args.q), args.n, args.d, args.m, args.kind, args.seed
@@ -508,6 +531,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "hypergraph", None)):
+            _check_writable(path)
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

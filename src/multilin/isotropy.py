@@ -17,6 +17,24 @@ contraction T(v, ...) is computed once per point and kept for the whole
 search; the lower-order contractions stay per node.  Row operations run
 on the field's row kernel (:meth:`multilin.field.Field.row_ops`).
 
+The search stops as soon as the index is decided.  Every isotropic
+subspace containing W lies in the joint kernel K(W), so a node whose
+kernel is no larger than the best dimension found, k, is not expanded.
+After a frontier subtree raises k, a top-down certificate scans
+Gr(k+1, n) for an isotropic subspace, but only when that Grassmannian has
+no more subspaces than the frontier Gr(d-1, n), whose walk it would cut
+short (a closed-form rule, with no setting).  Each scanned subspace is
+one visit of the cap and is tested through the per-point memo, stopping
+at the first nonzero value.  If none is isotropic, k is the index and the
+search ends; if one is, the DFS goes on, so the witness is always the
+DFS's first subspace of the final dimension.
+
+``alpha_field_alt`` scans the map space in product order but searches
+only one map per scalar class: multiples share their index, and the one
+whose leading coefficient is the element encoded 1 comes first.  Each
+search gets the running minimum as a ceiling and stops once it has shown
+the map cannot go below it.
+
 ``alpha_alt_by_scan`` is the independent oracle: a plain top-down
 Grassmannian scan that shares no code path with the DFS.
 
@@ -71,11 +89,14 @@ DEFAULT_TENSOR_CAP = 1 << 20
 @dataclass(frozen=True)
 class IsotropyResult:
     """Search outcome: the index found, a witness tuple of subspaces, and
-    whether the search ran to completion (False when capped)."""
+    whether the search ran to completion (False when capped).  ``visits``
+    counts the subspaces visited (the cap's unit); it stays out of the
+    document."""
 
     index: int
     witness: tuple
     exhausted: bool
+    visits: int
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +112,13 @@ class IsotropyResult:
 
 
 class _AltSearch:
-    def __init__(self, T: AltTensor, cap: int):
+    """One search for the isotropy index of a nonzero alternating map.
+
+    With a ``ceiling`` the caller wants the index only when it is below
+    the ceiling: the search may stop at any isotropic subspace of that
+    dimension, and its witness is then not the DFS's first one."""
+
+    def __init__(self, T: AltTensor, cap: int, ceiling: Optional[int] = None):
         self.field = T.field
         self.n = T.n
         self.d = T.d
@@ -102,9 +129,36 @@ class _AltSearch:
         self.exhausted = True
         self.best_k = -1
         self.best_rows: Optional[tuple] = None
+        self.ceiling = ceiling
         self.upper = self.n - 1  # T is nonzero when the search runs
+        if ceiling is not None:
+            self.upper = min(self.upper, ceiling)
+        self.frontier = gauss_binom(self.n, self.d - 1, self.field.q)
         self.seen = {}
         self.first = {}  # canonical point v -> T(v, ...), shared, never mutated
+
+    def run(self) -> None:
+        """Seed the DFS at every (d-1)-subspace in canonical order; after a
+        frontier subtree raises the index found, try the certificate."""
+        field, n = self.field, self.n
+        start_k = self.d - 1
+        certified = -1
+        # the search budget (spend) governs; the lazy generator needs no pre-check
+        for W in enumerate_grassmannian(field, n, start_k, cap=1 << 62):
+            if self.found(W.rows):  # every frontier subspace is isotropic
+                return
+            if self.spend():
+                return
+            partial = {(): self.dense}
+            for i in range(start_k):
+                partial = self.extend_partial(partial, W.rows[:i], W.rows[i])
+            if self.dfs(W.rows, W.pivots, partial):
+                return  # either the ceiling was reached or the budget ran out
+            if self.best_k > certified:
+                done = self.certify()
+                certified = self.best_k
+                if done:
+                    return
 
     def found(self, rows: tuple) -> bool:
         """Record a discovered isotropic subspace; True when done."""
@@ -120,6 +174,47 @@ class _AltSearch:
             self.exhausted = False
             return True
         return False
+
+    def certify(self) -> bool:
+        """Top-down certificate, tried while Gr(best_k + 1, n) has no more
+        subspaces than the frontier: scan it for an isotropic subspace, one
+        visit each.  If there is none, best_k is the index.  A hit lets the
+        DFS go on, except under a ceiling, where it is recorded and the next
+        dimension is tried.  True when the search is done."""
+        field, n = self.field, self.n
+        while gauss_binom(n, self.best_k + 1, field.q) <= self.frontier:
+            for U in enumerate_grassmannian(field, n, self.best_k + 1, cap=1 << 62):
+                if self.spend():
+                    return True
+                if self.isotropic(U.rows):
+                    break
+            else:
+                return True
+            if self.ceiling is None:
+                return False  # the DFS goes on, to report its own first witness
+            if self.found(U.rows):
+                return True
+        return False
+
+    def isotropic(self, rows: tuple) -> bool:
+        """Whether T vanishes on span(rows), for canonical point rows: every
+        increasing d-tuple of rows is contracted through the per-point memo,
+        and the test stops at the first nonzero value."""
+        return all(
+            self._vanishes(self.contract(v), rows[i + 1 :], self.d - 1)
+            for i, v in enumerate(rows[: len(rows) - self.d + 1])
+        )
+
+    def _vanishes(self, block, rows: tuple, order: int) -> bool:
+        """Whether the order-``order`` contraction ``block`` is zero on
+        every increasing ``order``-tuple of ``rows``."""
+        if order == 0:
+            return not any(block)
+        field, m, n = self.field, self.m, self.n
+        return all(
+            self._vanishes(_contract_first(field, block, m, n, order, v), rows[i + 1 :], order - 1)
+            for i, v in enumerate(rows[: len(rows) - order + 1])
+        )
 
     def joint_kernel(self, partial: dict, rows: tuple) -> list:
         """Kernel of x -> T(subset, x) over all (d-1)-subsets of rows."""
@@ -176,8 +271,8 @@ class _AltSearch:
     def dfs(self, rows: tuple, pivots: tuple, partial: dict) -> bool:
         """Extend the isotropic subspace with basis ``rows``; True = stop."""
         kernel = self.joint_kernel(partial, rows)
-        if len(kernel) <= len(rows):
-            return False  # kernel is exactly the subspace: no extension
+        if len(kernel) <= max(len(rows), self.best_k):
+            return False  # every isotropic U containing the subspace lies in the kernel
         k = len(rows)
         seen = self.seen.setdefault(k + 1, set())
         for v in self.candidates(kernel, rows, pivots):
@@ -215,27 +310,22 @@ def alpha_alt(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
     witness; ``exhausted`` is False when the visit cap cut the search."""
     if not isinstance(T, AltTensor):
         raise PreconditionError("alpha_alt needs an alternating tensor")
-    field, n, d = T.field, T.n, T.d
+    field, n = T.field, T.n
     if T.is_zero():
-        return IsotropyResult(n, (Subspace.full(field, n),), True)
+        return IsotropyResult(n, (Subspace.full(field, n),), True, 0)
     search = _AltSearch(T, cap)
-    start_k = min(d - 1, n)
-    # the search budget (spend) governs; the lazy generator needs no pre-check
-    for W in enumerate_grassmannian(field, n, start_k, cap=1 << 62):
-        if search.found(W.rows):  # every frontier subspace is isotropic
-            break
-        if search.spend():
-            break
-        partial = {(): search.dense}
-        for i in range(start_k):
-            partial = search.extend_partial(partial, W.rows[:i], W.rows[i])
-        if search.dfs(W.rows, W.pivots, partial):
-            break  # either the ceiling n-1 was reached or the budget ran out
+    search.run()
+    witness = _checked_witness(T, search)
+    return IsotropyResult(search.best_k, (witness,), search.exhausted, search.visits)
+
+
+def _checked_witness(T: AltTensor, search: _AltSearch) -> Subspace:
+    """The search's witness, re-checked by the independent evaluator."""
     rows = search.best_rows
-    witness = Subspace(field, n, rows, rref(field, rows)[1])
-    if not alt_restricts_zero(T, witness):  # independent re-check
+    witness = Subspace(T.field, T.n, rows, rref(T.field, rows)[1])
+    if not alt_restricts_zero(T, witness):
         raise InvariantViolation("witness fails restriction check")
-    return IsotropyResult(search.best_k, (witness,), search.exhausted)
+    return witness
 
 
 def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
@@ -244,10 +334,12 @@ def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
     if not isinstance(T, AltTensor):
         raise PreconditionError("alpha_alt_by_scan needs an alternating tensor")
     field, n = T.field, T.n
+    visits = 0
     for k in range(n, -1, -1):
         for W in enumerate_grassmannian(field, n, k, cap=cap):
+            visits += 1
             if alt_restricts_zero(T, W):
-                return IsotropyResult(k, (W,), True)
+                return IsotropyResult(k, (W,), True, visits)
     raise InvariantViolation("the zero subspace is always isotropic")
 
 
@@ -448,33 +540,34 @@ def alpha_field_alt(
         raise PreconditionError(f"need samples >= 1, got {samples}")
     ncoef = m * comb(n, d)
     floor_value = min(d - 1, n)
-    total = field.q**ncoef
     if samples is None:
-        check_cap(total, tensor_cap, "exhaustive tensor scan")
-        best = n
-        scanned = 0
-        for coeffs in itertools.product(field.elements(), repeat=ncoef):
-            scanned += 1
-            result = alpha_alt(AltTensor(field, n, d, m, coeffs), cap)
-            if not result.exhausted:
-                raise CapExceededError("inner isotropy search capped")
-            best = min(best, result.index)
-            if best <= floor_value:
-                break  # the index never drops below min(d-1, n)
-        return FieldAlphaResult(best, True, scanned)
-    from .prng import SplitMix64
+        check_cap(field.q**ncoef, tensor_cap, "exhaustive tensor scan")
+        maps = itertools.product(field.elements(), repeat=ncoef)
+    else:
+        from .prng import SplitMix64
 
-    rng = SplitMix64(seed)
+        rng = SplitMix64(seed)
+        maps = (tuple(rng.below(field.q) for _ in range(ncoef)) for _ in range(samples))
     best = n
-    for i in range(samples):
-        T = AltTensor(field, n, d, m, tuple(rng.below(field.q) for _ in range(ncoef)))
-        result = alpha_alt(T, cap)
-        if not result.exhausted:
-            raise CapExceededError("inner isotropy search capped")
-        best = min(best, result.index)
+    scanned = 0
+    for coeffs in maps:
+        scanned += 1
+        # the zero map's index n is the starting value; of the others the
+        # exhaustive scan searches one map per scalar class: encoded 1 is
+        # the smallest nonzero code, so that multiple comes first in
+        # product order (not field.one, which is p^(e-1) in extension fields)
+        lead = next((c for c in coeffs if c), 0)
+        if lead and (samples is not None or lead == 1):
+            T = AltTensor(field, n, d, m, coeffs)
+            search = _AltSearch(T, cap, ceiling=best)
+            search.run()
+            if not search.exhausted:
+                raise CapExceededError("inner isotropy search capped")
+            _checked_witness(T, search)
+            best = min(best, search.best_k)
         if best <= floor_value:
-            return FieldAlphaResult(best, False, i + 1)
-    return FieldAlphaResult(best, False, samples)
+            break  # the index never drops below min(d-1, n)
+    return FieldAlphaResult(best, samples is None, scanned)
 
 
 # ---------------------------------------------------------------------------

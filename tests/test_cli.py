@@ -495,13 +495,14 @@ MISSING_FILE = {
     "tensor show": "--tensor missing.json",
     "boxfree verify": "--hypergraph-in missing.json",
 }
-# operations whose parser takes an input file but which generate their input
+# operations whose parser takes an input file but which generate their
+# input -> that input flag, which they refuse
 GENERATES = {
-    "boxfree gen",
-    "isotropy field-min",
-    "isotropy incidence-alt",
-    "isotropy incidence-hom",
-    "tensor random",
+    "boxfree gen": "--hypergraph-in FREE.json",
+    "isotropy field-min": "--tensor FREE.json",
+    "isotropy incidence-alt": "--tensor FREE.json",
+    "isotropy incidence-hom": "--tensor FREE.json",
+    "tensor random": "--tensor FREE.json",
 }
 
 
@@ -528,7 +529,7 @@ def test_sweep_covers_every_operation():
     assert set(VALID) == set(OPERATIONS)
     inputs = {"--tensor", "--hypergraph-in"}
     readers = {op for op, options in OPERATIONS.items() if options & inputs}
-    assert set(MISSING_FILE) == readers - GENERATES
+    assert set(MISSING_FILE) == readers - set(GENERATES)
 
 
 def _exit_code(argv):
@@ -548,6 +549,8 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     cases = [op, op + " " + VALID[op] + " --out nodir/out.json"]
     if op in MISSING_FILE:
         cases.append(op + " " + MISSING_FILE[op])
+    if op in GENERATES:
+        cases.append(op + " " + VALID[op] + " " + GENERATES[op])
     for argv in cases:
         assert _exit_code(argv.split()) == 2, argv
         captured = capsys.readouterr()
@@ -573,6 +576,7 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
                  id="csv-out-in-missing-dir"),
     pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph nodir/h.json",
                  id="hypergraph-out-in-missing-dir"),
+    pytest.param("grassmann strata --q 2 --n 3 --k 2 --format csv --l 1", id="csv-with-l"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -582,3 +586,27 @@ def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "precondition error" in captured.err
+
+
+@pytest.mark.parametrize("argv, work", [
+    ("boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph nodir/h.json",
+     "multilin.boxfree.box_pipeline"),
+    ("boxfree gen --q 2 --n 3 --d 2 --m 1 --out nodir/out.json",
+     "multilin.boxfree.box_pipeline"),
+    ("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --out nodir/out.json",
+     "multilin.isotropy.alpha_alt"),
+    ("isotropy field-min --q 2 --n 3 --d 2 --m 1 --out .", "multilin.isotropy.alpha_field_alt"),
+    ("grassmann strata --q 2 --n 3 --k 1 --format csv --out nodir/x.csv",
+     "multilin.grassmann.stratum_profile"),
+    ("tensor random --q 2 --n 2 --d 2 --m 1 --out nodir/T.json", "multilin.cli.random_tensor"),
+])
+def test_unwritable_output_fails_before_the_work(capsys, monkeypatch, tmp_path, argv, work):
+    monkeypatch.chdir(tmp_path)
+
+    def work_started(*args, **kwargs):
+        raise AssertionError("the computation ran before the output path was checked")
+
+    monkeypatch.setattr(work, work_started)
+    assert main(argv.split()) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multilin import isotropy
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_bound
@@ -138,6 +139,15 @@ WITNESS_PINS = {
     (3, 5, 3, 2, 3, 40): (3, False, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
     (2, 6, 3, 1, 8, 25): (4, False, (
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    # the top-down certificate finds an isotropic subspace before the DFS
+    # does; the DFS's own first witness must still be the one reported
+    (2, 6, 3, 2, 5, DEFAULT_CAP): (4, True, (
+        (1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 1, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 1))),
+    (2, 6, 4, 1, 2, DEFAULT_CAP): (5, True, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 0), (0, 0, 0, 1, 1, 0),
+        (0, 0, 0, 0, 0, 1))),
+    (5, 4, 3, 2, 0, DEFAULT_CAP): (3, True, ((1, 0, 0, 0), (0, 1, 2, 0), (0, 0, 0, 1))),
+    (5, 4, 3, 2, 8, DEFAULT_CAP): (3, True, ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1))),
 }
 
 
@@ -157,6 +167,68 @@ def test_alpha_alt_cap_reports_not_exhausted():
     assert alt_restricts_zero(T, result.witness[0])
 
 
+def _certificate_spy(monkeypatch):
+    """Count the top-down certificates that decided the index (no isotropic
+    subspace one dimension up, budget not spent)."""
+    decided = []
+    certify = isotropy._AltSearch.certify
+
+    def spy(search):
+        done = certify(search)
+        if done and search.exhausted and search.best_k < search.upper:
+            decided.append((search.n, search.d, search.best_k))
+        return done
+
+    monkeypatch.setattr(isotropy._AltSearch, "certify", spy)
+    return decided
+
+
+# d -> shapes (n, m) whose maps mostly have an index k with Gr(k+1, n) no
+# larger than the frontier Gr(d-1, n), so the certificate decides them;
+# (4, 3, 1) maps have index n - 1, so there the certificate finds a hit
+CERTIFIED_SHAPES = {2: [(4, 1)], 3: [(4, 1), (5, 2)], 4: [(5, 5)]}
+
+
+@pytest.mark.parametrize("d", sorted(CERTIFIED_SHAPES))
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_alpha_alt_with_certificate_matches_scan_oracle(monkeypatch, q, d):
+    decided = _certificate_spy(monkeypatch)
+    F = field_of_order(q)
+    for n, m in CERTIFIED_SHAPES[d]:
+        for seed in range(1 if q**n > 10_000 else 3):  # the oracle scans Gr(n-1, n)
+            T = random_tensor(F, n, d, m, "alt", seed=9_000 + 100 * q + 10 * n + seed)
+            result = alpha_alt(T)
+            assert result.exhausted
+            assert result.index == alpha_alt_by_scan(T).index
+            assert result.witness[0].k == result.index
+            assert alt_restricts_zero(T, result.witness[0])
+    assert decided  # the certificate ran, and settled at least one map
+
+
+def test_certificate_cut_by_the_cap_keeps_the_dfs_witness(monkeypatch):
+    decided = _certificate_spy(monkeypatch)
+    T = random_tensor(F3, 5, 3, 2, "alt", seed=3)
+    full = alpha_alt(T)
+    assert decided and full.exhausted
+    # the decisive certificate scans all 121 hyperplanes, and is the last work
+    assert full.visits > gauss_binom(5, 4, 3)
+    for cap in (full.visits - 1, full.visits - gauss_binom(5, 4, 3) + 1):
+        cut = alpha_alt(T, cap)
+        assert not cut.exhausted
+        assert (cut.index, cut.witness) == (full.index, full.witness)
+        assert alt_restricts_zero(T, cut.witness[0])
+
+
+def test_certificate_keeps_visits_below_the_frontier():
+    # (3,6,3,1) seed 1 has index 4, and the certificate rules out the
+    # 364 hyperplanes; without it the DFS walks all 11,011 frontier planes
+    T = random_tensor(F3, 6, 3, 1, "alt", seed=1)
+    result = alpha_alt(T)
+    assert result.index == 4 and result.exhausted
+    assert result.visits < gauss_binom(6, 2, 3) == 11_011
+    assert "visits" not in result.to_dict()
+
+
 def test_alpha_field_alt_exhaustive_values():
     # every nonzero alternating bilinear form on F_2^3 has a radical line,
     # so every form has an isotropic plane: the minimum is 2
@@ -167,6 +239,41 @@ def test_alpha_field_alt_exhaustive_values():
     result = alpha_field_alt(F2, 4, 2, 1)
     assert result.value == 2 and result.exhaustive
     assert result.value <= alpha_bound(4, 2, 1)
+
+
+def _field_min_by_scan(F, n, d, m):
+    """The exhaustive minimum as a plain loop over every map in product
+    order, each index from the scan oracle: (minimum, maps scanned)."""
+    floor_value = min(d - 1, n)
+    best, scanned = n, 0
+    for coeffs in itertools.product(F.elements(), repeat=m * comb(n, d)):
+        scanned += 1
+        best = min(best, alpha_alt_by_scan(AltTensor(F, n, d, m, coeffs)).index)
+        if best <= floor_value:
+            break
+    return best, scanned
+
+
+@pytest.mark.parametrize("q, n, d, m", [
+    (4, 3, 2, 3),  # the floor break falls at map 4,369
+    (4, 2, 2, 1),
+    (8, 2, 2, 1),
+    (9, 2, 2, 1),
+])
+def test_alpha_field_alt_matches_the_scan_loop(monkeypatch, q, n, d, m):
+    # in these extension fields the element encoded 1 is not field.one, and
+    # the scan searches only maps whose leading coefficient is encoded 1
+    F = field_of_order(q)
+    assert F.one != 1
+    searched = []
+    run = isotropy._AltSearch.run
+    monkeypatch.setattr(isotropy._AltSearch, "run", lambda s: searched.append(1) or run(s))
+    result = alpha_field_alt(F, n, d, m)
+    assert result.exhaustive
+    assert (result.value, result.tensors_scanned) == _field_min_by_scan(F, n, d, m)
+    maps = itertools.product(F.elements(), repeat=m * comb(n, d))
+    scanned = itertools.islice(maps, result.tensors_scanned)
+    assert len(searched) == sum(next((c for c in cs if c), 0) == 1 for cs in scanned)
 
 
 def test_alpha_field_alt_trivial_when_d_exceeds_n():
