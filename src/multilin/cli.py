@@ -213,9 +213,20 @@ def cmd_formula(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# isotropy flag -> the operations that read it; the others refuse it
+ISOTROPY_READERS = {
+    "k": ("hom", "incidence-alt"),
+    "samples": ("field-min",),
+    "raw": ("incidence-alt", "incidence-hom"),
+}
+
+
 def cmd_isotropy(args) -> int:
     cap = _cap(args)
     op = args.operation
+    for name, readers in ISOTROPY_READERS.items():
+        if op not in readers:
+            _refuse(args, name)
     if op in ("hom", "incidence-alt"):
         _require(args, "k")
     if op in ("field-min", "incidence-alt", "incidence-hom"):
@@ -297,6 +308,9 @@ def cmd_grassmann(args) -> int:
     cap = _cap(args)
     F = field_of_order(args.q)
     params = {"q": args.q, "n": args.n, "k": args.k}
+    if args.operation != "strata":
+        _refuse(args, "l")
+        _refuse(args, "format")
     if args.operation == "count":
         payload = {"count": str(grassmann.gauss_binom(args.n, args.k, args.q))}
     elif args.operation == "enum":
@@ -473,7 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tensor_source(p)
     p.add_argument("--k", type=int, help="target subspace dimension")
     p.add_argument("--samples", type=int, help="sampling mode for field-min")
-    p.add_argument("--raw", action="store_true", help="also run the raw enumeration cross-check")
+    p.add_argument(
+        "--raw",
+        action="store_true",
+        default=None,
+        help="also run the raw enumeration cross-check (incidence counts)",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_isotropy)
 
@@ -493,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format",
         choices=("json", "csv"),
-        default="json",
-        help="csv emits the tabular strata profile",
+        help="strata output: json (the default) or the csv profile table",
     )
     _add_common(p)
     p.set_defaults(func=cmd_grassmann)

@@ -6,12 +6,21 @@ pair (dN, |Z_T|) and compared through integer inequalities; the decimal
 log is presentation only.  The partition rank is never computed, only its
 coordinate-decomposition bound m.
 
-|Z_T| is counted over projective points: every slot but one is fixed to a
-canonical point (first nonzero coordinate one), contracted in place, and
-the last slot's zeros are read off the rank of the remaining m x N
-matrix.  Rank is invariant under scaling an argument, and a zero argument
-zeroes the matrix, so the (q-1)^(d-1) scalings of each fixed tuple and the
-tuples with a zero argument are counted in closed form.
+|Z_T| is counted over projective points: some slots are fixed to
+canonical points (first nonzero coordinate one) and contracted in place,
+and the zeros of the free slots are read off ranks.  Rank is invariant
+under scaling an argument, and a zero argument zeroes what is left, so the
+(q-1)^s scalings of each fixed s-tuple and the tuples with a zero argument
+are counted in closed form.  Two leaves read the free slots:
+
+- with one free slot, the rank of the remaining m x N matrix gives its
+  q^(N - rank) zeros;
+- with two free slots (when m < N), the bias identity behind analytic
+  rank (Gowers-Wolf 2011; Lovett 2019) sums the additive character over
+  the codomain: q^m |zeros| = sum over lambda in F^m of
+  q^(2N - rank M_lambda), with M_lambda = sum_o lambda_o M_o the N x N
+  matrix of lambda . T.  Again by scaling, lambda runs over zero and the
+  (q^m - 1)/(q - 1) projective points.
 """
 
 from __future__ import annotations
@@ -29,18 +38,31 @@ def zero_count(
 ) -> int:
     """Exact |{(x_1..x_d) : T(x_1..x_d) = 0}|.
 
-    'kernel' fixes all slots but one and adds q^(N - rank) for the induced
-    m x N matrix, over projective points only: a zero argument makes the
-    matrix zero, and scaling an argument by c != 0 scales the matrix.  With
-    N_q = q^N and s = d - 1 fixed slots,
+    'kernel' fixes s slots at canonical projective points and counts the
+    zeros of the f = d - s free slots by rank.  A zero argument makes what
+    is left zero, and scaling an argument by c != 0 scales it, so with
+    N_q = q^N,
 
-        |Z| = (N_q^s - (N_q - 1)^s) N_q + (q - 1)^s sum q^(N - rank),
+        |Z| = (N_q^s - (N_q - 1)^s) N_q^f + (q - 1)^s sum Z_f,
 
     the sum running over the P^s tuples of canonical points, P =
-    (N_q - 1)/(q - 1).  The cap is charged with those P^s rank calls.
-    'raw' scans every vector tuple, with no rank call and no projective
-    reduction.  Both give the same count, and any choice of kernel slot
-    does too (multilinearity).
+    (N_q - 1)/(q - 1), and Z_f counting the zeros of the free slots.  The
+    route follows from the shape alone:
+
+    - m < N and d >= 2: f = 2, ``kernel_slot`` and its neighbour.  The
+      character sum over the codomain gives q^m Z_f = q^(2N) + (q - 1)
+      sum q^(2N - rank M_lambda) over the (q^m - 1)/(q - 1) projective
+      lambda in F^m, M_lambda the N x N matrix of lambda . T.  The total
+      is divided by q^m once; a remainder is an ``InvariantViolation``.
+      That is P^(d-2) (q^m - 1)/(q - 1) rank calls.
+    - otherwise f = 1, ``kernel_slot``: Z_f = q^(N - rank) for the m x N
+      matrix left, P^(d-1) rank calls.  At m = N both routes make as
+      many calls, and this one ranks smaller matrices.
+
+    The cap is charged with the route's rank calls.  'raw' scans every
+    vector tuple, with no rank call and no projective reduction.  Both
+    give the same count, and any choice of kernel slot does too
+    (multilinearity).
     """
     if not isinstance(T, Tensor):
         raise PreconditionError("zero counting needs a dense multilinear tensor")
@@ -68,25 +90,61 @@ def zero_count(
         raise PreconditionError(f"unknown method {method!r}")
     if not 0 <= kernel_slot < d:
         raise PreconditionError("kernel slot out of range")
-    s = d - 1
     nq = q**n
-    check_cap(((nq - 1) // (q - 1)) ** s, cap, "zero-set kernel scan")
-    points = list(span_points(field, Subspace.full(field, n).rows)) if s else []
+    pairs = d >= 2 and m < n
+    free = {kernel_slot}
+    if pairs:
+        free.add(kernel_slot + 1 if kernel_slot + 1 < d else kernel_slot - 1)
     # the fixed slots, highest first, so the lower slot indices stay put
-    slots = [j for j in reversed(range(d)) if j != kernel_slot]
+    slots = [j for j in reversed(range(d)) if j not in free]
+    s = len(slots)
+    leaf_calls = (q**m - 1) // (q - 1) if pairs else 1
+    check_cap(((nq - 1) // (q - 1)) ** s * leaf_calls, cap, "zero-set kernel scan")
+    points = list(span_points(field, Subspace.full(field, n).rows)) if s else []
+
+    if pairs:
+        block = n * n
+        # each canonical lambda leads with a one: start from that matrix
+        combos = [
+            [(o * block, c) for o, c in enumerate(lam) if c]
+            for lam in span_points(field, Subspace.full(field, m).rows)
+        ]
+        axpy, _ = field.row_ops()
+
+        def leaf(flat):
+            """q^m times the zeros of the two free slots."""
+            acc = 0
+            for (lead, _), *rest in combos:
+                M = flat[lead : lead + block]
+                for start, c in rest:
+                    M = axpy(M, c, flat[start : start + block])
+                rows = [M[i : i + n] for i in range(0, block, n)]
+                acc += q ** (2 * n - matrix_rank(field, rows))
+            return nq * nq + (q - 1) * acc
+
+    else:
+
+        def leaf(flat):
+            """The zeros of the free slot."""
+            rows = [flat[i : i + n] for i in range(0, m * n, n)]
+            return q ** (n - matrix_rank(field, rows))
+
     total = 0
 
     def rec(flat, depth):
         nonlocal total
         if depth == s:
-            rows = [flat[o * n : (o + 1) * n] for o in range(m)]
-            total += q ** (n - matrix_rank(field, rows))
+            total += leaf(flat)
             return
         for v in points:
             rec(_contract_slot(field, flat, m, n, d - depth, v, slots[depth]), depth + 1)
 
     rec(T.coeffs, 0)
-    return (nq**s - (nq - 1) ** s) * nq + (q - 1) ** s * total
+    if pairs:
+        if total % q**m:
+            raise InvariantViolation(f"character sum {total} is not a multiple of q^m = {q**m}")
+        total //= q**m
+    return (nq**s - (nq - 1) ** s) * nq ** len(free) + (q - 1) ** s * total
 
 
 @dataclass(frozen=True)

@@ -577,6 +577,19 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph nodir/h.json",
                  id="hypergraph-out-in-missing-dir"),
     pytest.param("grassmann strata --q 2 --n 3 --k 2 --format csv --l 1", id="csv-with-l"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --k 2", id="alt-with-k"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --samples 3",
+                 id="alt-with-samples"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --raw", id="alt-with-raw"),
+    pytest.param("isotropy planes --q 2 --n 3 --d 2 --m 1 --k 1", id="planes-with-k"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 2 --m 1 --k 1",
+                 id="incidence-hom-with-k"),
+    pytest.param("isotropy hom --q 2 --n 3 --d 2 --m 1 --k 1 --raw", id="hom-with-raw"),
+    pytest.param("isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k 1 --samples 2",
+                 id="incidence-with-samples"),
+    pytest.param("grassmann count --q 2 --n 3 --k 1 --l 0", id="count-with-l"),
+    pytest.param("grassmann count --q 2 --n 3 --k 1 --format csv", id="count-with-format"),
+    pytest.param("grassmann enum --q 2 --n 3 --k 1 --format json", id="enum-with-format"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

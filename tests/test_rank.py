@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multilin.errors import CapExceededError
+import multilin.rank
+from multilin.errors import CapExceededError, InvariantViolation
 from multilin.field import field_make, field_of_order
 from multilin.rank import analytic_rank, zero_count
 from multilin.tensor import Tensor, random_tensor
@@ -50,6 +51,16 @@ def test_kernel_slot_invariance():
         T = random_tensor(field_make(q), n, d, m, "hom", seed=400 + i)
         counts = {zero_count(T, kernel_slot=s) for s in range(d)}
         assert len(counts) == 1
+
+
+@pytest.mark.parametrize("q, n, d, m", [
+    (3, 2, 3, 1), (3, 2, 4, 1), (4, 2, 3, 1), (3, 3, 2, 2), (5, 3, 2, 1),  # character
+    (3, 2, 3, 2), (4, 2, 3, 3), (3, 1, 4, 1), (5, 2, 1, 1),  # matrix: m = N, m > N, d = 1
+])
+def test_both_leaves_match_raw_on_every_slot(q, n, d, m):
+    T = random_tensor(field_of_order(q), n, d, m, "hom", seed=31)
+    raw = zero_count(T, method="raw")
+    assert [zero_count(T, kernel_slot=k) for k in range(d)] == [raw] * d
 
 
 def test_analytic_rank_zero_tensor():
@@ -100,11 +111,35 @@ def test_zero_count_cap():
 
 
 def test_zero_count_cap_charges_projective_tuples():
-    # q^((d-1)N) = 81 rank calls before; P^(d-1) = 16 with P = 4 points
+    # m < N: P^(d-2) (q^m-1)/(q-1) = 4 rank calls on 2 x 2 matrices, P = 4
     T = random_tensor(F3, 2, 3, 1, "hom", seed=3)
+    assert zero_count(T, cap=4) == zero_count(T, method="raw")
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=3)
+    # m >= N: P^(d-1) = 16 rank calls on the m x N matrices
+    T = random_tensor(F3, 2, 3, 2, "hom", seed=3)
     assert zero_count(T, cap=16) == zero_count(T, method="raw")
     with pytest.raises(CapExceededError):
         zero_count(T, cap=15)
+
+
+def test_zero_count_cap_refuses_before_any_work(monkeypatch):
+    # (7,4,4,1): P^2 = 400^2 = 160,000 rank calls, P^3 = 6.4e7 before
+    def no_work(*args):
+        raise AssertionError("contracted before the cap was checked")
+
+    monkeypatch.setattr(multilin.rank, "_contract_slot", no_work)
+    T = Tensor.zero(field_make(7), 4, 4, 1)
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=159_999)
+
+
+def test_character_sum_checks_its_division(monkeypatch):
+    # a full-rank 2 x 2 reading of every M_lambda leaves
+    # 3^4 + 2 * 3^0 = 83 per tuple, not a multiple of q^m = 3
+    monkeypatch.setattr(multilin.rank, "matrix_rank", lambda field, rows: 4)
+    with pytest.raises(InvariantViolation, match="not a multiple of q"):
+        zero_count(Tensor.zero(F3, 2, 3, 1))
 
 
 FIELDS = {q: field_of_order(q) for q in (3, 4, 5, 9)}
@@ -122,9 +157,17 @@ def _zero_slice(coeffs, n, d, slot, index):
 @st.composite
 def small_maps(draw):
     q = draw(st.sampled_from(sorted(FIELDS)))
-    shapes = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3) if q ** (n * d) <= 6561]
-    n, d = draw(st.sampled_from(shapes))
-    m = draw(st.integers(1, 2))
+    # m < N (with d >= 2) takes the character leaf, the rest the matrix
+    # leaf; half the draws go to each
+    character = draw(st.booleans())
+    shapes = [
+        (n, d, m)
+        for n in (1, 2, 3)
+        for d in (1, 2, 3, 4)
+        for m in (1, 2, 3)
+        if q ** (n * d) <= 6561 and (d >= 2 and m < n) == character
+    ]
+    n, d, m = draw(st.sampled_from(shapes))
     size = m * n**d
     coeffs = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
     shape = draw(st.sampled_from(("random", "zero", "slice")))
@@ -137,9 +180,9 @@ def small_maps(draw):
 
 
 @given(small_maps())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_kernel_equals_raw_on_every_slot(T):
-    # q - 1 > 1 here, so a wrong (q-1)^(d-1) factor cannot hide
+    # q - 1 > 1 here, so a wrong (q-1)^s factor cannot hide
     raw = zero_count(T, method="raw")
     for k in range(T.d):
         assert zero_count(T, kernel_slot=k) == raw
