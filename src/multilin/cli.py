@@ -49,6 +49,18 @@ def _cap(args) -> int:
     return cap
 
 
+# defaults of flags that some operations do not read: the flags parse to
+# None, so that _refuse sees them there, and the default is filled in
+# where an operation reads them
+DEFAULTS = {"kind": "hom", "seed": 0, "r": 1, "max_trials": 512}
+
+
+def _value(args, name):
+    """The flag's value, or its default when it was not given."""
+    value = getattr(args, name, None)
+    return DEFAULTS.get(name) if value is None else value
+
+
 def _add_common(parser):
     parser.add_argument("--out", help="write the JSON document here instead of stdout")
     parser.add_argument("--cap", type=int, help="enumeration cap (overrides ISOTROPY_CAP)")
@@ -61,13 +73,12 @@ def _add_tensor_source(parser, kind_choice=True):
     parser.add_argument("--d", type=int, help="order of the map")
     parser.add_argument("--m", type=int, help="codomain dimension")
     if kind_choice:
-        parser.add_argument("--kind", choices=("hom", "alt"), default="hom")
-    parser.add_argument("--seed", type=int, default=0, help="splitmix64 seed")
+        parser.add_argument("--kind", choices=("hom", "alt"), help="tensor kind (default hom)")
+    parser.add_argument("--seed", type=int, help="splitmix64 seed (default 0)")
     parser.add_argument(
         "--r",
         type=int,
-        default=1,
-        help="search over the degree-r extension of the tensor's field",
+        help="search over the degree-r extension of the tensor's field (default 1)",
     )
 
 
@@ -131,8 +142,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_tensor(args, kind=None):
+    given = getattr(args, "kind", None)
+    if kind and given not in (None, kind):
+        raise PreconditionError(
+            f"'{args.command} {args.operation}' needs a {kind!r} tensor, not --kind {given}"
+        )
     if args.tensor:
-        if any(getattr(args, name, None) is not None for name in ("q", "n", "d", "m")):
+        generation = ("q", "n", "d", "m", "seed", "kind")
+        if any(getattr(args, name, None) is not None for name in generation):
             raise PreconditionError(
                 "give either --tensor or generation parameters, not both"
             )
@@ -144,17 +161,21 @@ def _load_tensor(args, kind=None):
             args.n,
             args.d,
             args.m,
-            kind or getattr(args, "kind", "hom"),
-            args.seed,
+            kind or _value(args, "kind"),
+            _value(args, "seed"),
         )
     if kind and T.kind != kind:
         raise PreconditionError(f"this operation needs a {kind!r} tensor, got {T.kind!r}")
-    r = getattr(args, "r", 1)
+    return _extend(args, T)
+
+
+def _extend(args, T):
+    """T over the degree-r extension of its field, r from --r."""
+    r = _value(args, "r")
     if r < 1:
         raise PreconditionError("--r must be a positive integer")
     if r > 1:
-        base = T.field
-        T = base_change(T, field_make(base.p, base.e * r))
+        T = base_change(T, field_make(T.field.p, T.field.e * r))
     return T
 
 
@@ -214,10 +235,15 @@ def cmd_formula(args) -> int:
 
 
 # isotropy flag -> the operations that read it; the others refuse it
+# (field-min reads --seed only to sample, and alt and hom take only a
+# --kind that names their own kind)
 ISOTROPY_READERS = {
     "k": ("hom", "incidence-alt"),
     "samples": ("field-min",),
     "raw": ("incidence-alt", "incidence-hom"),
+    "seed": ("alt", "hom", "field-min", "planes"),
+    "r": ("alt", "hom", "planes"),
+    "kind": ("alt", "hom", "planes"),
 }
 
 
@@ -229,6 +255,8 @@ def cmd_isotropy(args) -> int:
             _refuse(args, name)
     if op in ("hom", "incidence-alt"):
         _require(args, "k")
+    if op == "field-min" and args.samples is None:
+        _refuse(args, "seed")
     if op in ("field-min", "incidence-alt", "incidence-hom"):
         _refuse(args, "tensor")
         _require(args, "q", "n", "d", "m")
@@ -243,7 +271,7 @@ def cmd_isotropy(args) -> int:
     elif op == "field-min":
         F = field_of_order(args.q)
         result = isotropy.alpha_field_alt(
-            F, args.n, args.d, args.m, cap, samples=args.samples, seed=args.seed
+            F, args.n, args.d, args.m, cap, samples=args.samples, seed=_value(args, "seed")
         )
         payload = result.to_dict()
     elif op == "incidence-alt":
@@ -278,7 +306,7 @@ def cmd_isotropy(args) -> int:
 def _source_params(args) -> dict:
     out = {}
     for name in ("q", "n", "d", "m", "k", "seed", "samples", "r"):
-        v = getattr(args, name, None)
+        v = _value(args, name)
         if v is not None:
             out[name] = v
     if getattr(args, "tensor", None):
@@ -350,9 +378,12 @@ def cmd_boxfree(args) -> int:
     if args.operation == "gen":
         _refuse(args, "hypergraph_in")
         _require(args, "q", "n", "d", "m")
+        if args.hypergraph is None:
+            _refuse(args, "format")
         F = field_of_order(args.q)
+        seed = _value(args, "seed")
         result = boxfree.box_pipeline(
-            F, args.n, args.d, args.m, seed=args.seed, max_trials=args.max_trials, cap=cap
+            F, args.n, args.d, args.m, seed=seed, max_trials=_value(args, "max_trials"), cap=cap
         )
         if args.hypergraph:
             if args.format == "text":
@@ -362,7 +393,7 @@ def cmd_boxfree(args) -> int:
             _write(args.hypergraph, text)
         payload = {
             "command": "boxfree-gen",
-            "params": {"q": args.q, "n": args.n, "d": args.d, "m": args.m, "seed": args.seed},
+            "params": {"q": args.q, "n": args.n, "d": args.d, "m": args.m, "seed": seed},
             "certificate": result.certificate.to_dict(),
         }
         if args.hypergraph:
@@ -370,6 +401,8 @@ def cmd_boxfree(args) -> int:
         _emit(args, payload)
         return 0
     # verify: freeness of a stored hypergraph (JSON, or the text edge list)
+    for name in ("q", "n", "d", "m", "seed", "max_trials", "hypergraph", "format"):
+        _refuse(args, name)
     _require(args, "hypergraph_in")
     raw = _read(args.hypergraph_in)
     if raw.lstrip().startswith("#"):
@@ -397,11 +430,9 @@ def cmd_tensor(args) -> int:
     if args.operation == "random":
         _refuse(args, "tensor")
         _require(args, "q", "n", "d", "m")
-        T = random_tensor(
-            field_of_order(args.q), args.n, args.d, args.m, args.kind, args.seed
-        )
-        if args.r > 1:
-            T = base_change(T, field_make(T.field.p, T.field.e * args.r))
+        F = field_of_order(args.q)
+        kind, seed = _value(args, "kind"), _value(args, "seed")
+        T = _extend(args, random_tensor(F, args.n, args.d, args.m, kind, seed))
         if args.out:
             _write(args.out, json.dumps(T.to_dict(), indent=2, sort_keys=True))
             args.out = None  # the envelope goes to stdout
@@ -523,11 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="projective dimension (ambient n+1)")
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=512)
+    p.add_argument("--seed", type=int, help="splitmix64 seed (gen; default 0)")
+    p.add_argument("--max-trials", type=int, help="sampled map trials (gen; default 512)")
     p.add_argument("--hypergraph", help="write the box-free hypergraph here (gen)")
     p.add_argument("--hypergraph-in", help="hypergraph JSON to verify")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument(
+        "--format",
+        choices=("json", "text"),
+        help="format of the --hypergraph file: json (the default) or text",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_boxfree)
 

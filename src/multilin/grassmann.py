@@ -12,6 +12,12 @@ first factor, multiplied by the Grassmannian size: the general linear
 group acts transitively on k-subspaces, so the fixed-factor count does
 not depend on the choice.  The full pair scan stays as the oracle, and
 both routes agree wherever both run.
+
+Over F_2, ``rank`` and ``kernel_basis`` run on rows packed into ints: one
+XOR elimination keeps the basis reduced and keyed by pivot bit (the M4RI
+representation of Albrecht, Bard and Hart, ACM TOMS 2010).  RREF is
+unique, so the packed route returns what the list ``rref`` would;
+``kernel_basis_by_rref`` keeps the list route callable as its oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_CAP, PreconditionError, check_cap
 from .field import Field
@@ -63,11 +69,25 @@ def rref(field: Field, rows: Sequence[Sequence[int]]):
 
 
 def rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
+    """Rank of the rows; over F_2 by the packed elimination."""
+    if field.q == 2:
+        return len(gf2_basis(map(gf2_pack, rows)))
     return len(rref(field, rows)[0])
 
 
 def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
-    """Basis of {x in F^n : row . x = 0 for each row}."""
+    """Basis of {x in F^n : row . x = 0 for each row}: for each non-pivot
+    column f of the RREF of the rows, the vector with a one at f, the
+    negated column f at the pivots and zeros elsewhere.  Over F_2 the RREF
+    comes from the packed elimination; RREF is unique, so both routes give
+    the same basis."""
+    if field.q == 2:
+        return gf2_kernel(gf2_basis(map(gf2_pack, rows)), n)
+    return kernel_basis_by_rref(field, rows, n)
+
+
+def kernel_basis_by_rref(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
+    """:func:`kernel_basis` through the list :func:`rref`, for any field."""
     red, pivots = rref(field, [r for r in rows if any(r)])
     _, scale = field.row_ops()
     minus_one = field.neg(field.one)
@@ -83,6 +103,59 @@ def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
             v[pc] = row[f]
         basis.append(tuple(v))
     return basis
+
+
+# Packed F_2 rows: a row of n bits is an int whose bit n - 1 - j is column
+# j, so a row's pivot (its first nonzero column) is its highest set bit and
+# adding rows is XOR.
+
+
+def gf2_pack(row: Sequence[int]) -> int:
+    """The packed int of a row of F_2 elements."""
+    x = 0
+    for a in row:
+        x = x << 1 | a
+    return x
+
+
+def gf2_unpack(x: int, n: int) -> tuple:
+    """The row of n F_2 elements packed in x."""
+    return tuple(x >> b & 1 for b in range(n - 1, -1, -1))
+
+
+def gf2_basis(rows: Iterable[int]) -> dict:
+    """Reduced row echelon basis of the span of packed F_2 rows, as
+    {pivot bit: row}: no row has a bit set at another row's pivot.  Each
+    row is cleared at the pivots it meets, and a new pivot is cleared from
+    the rows already kept; the rank is the basis's size."""
+    basis = {}
+    for x in rows:
+        for b, row in basis.items():
+            if x >> b & 1:
+                x ^= row
+        if x:
+            h = x.bit_length() - 1
+            for b, row in basis.items():
+                if row >> h & 1:
+                    basis[b] = row ^ x
+            basis[h] = x
+    return basis
+
+
+def gf2_kernel(basis: dict, n: int) -> list:
+    """:func:`kernel_basis` over F_2^n of the rows whose :func:`gf2_basis`
+    is given: per free column, from the left, the vector with that bit and
+    the pivot bits of the rows that have it, unpacked."""
+    out = []
+    for b in range(n - 1, -1, -1):
+        if b in basis:
+            continue
+        v = 1 << b
+        for p, row in basis.items():
+            if row >> b & 1:
+                v |= 1 << p
+        out.append(gf2_unpack(v, n))
+    return out
 
 
 def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:

@@ -44,9 +44,11 @@ runs the first d - 1 slots over a list of subspace bases, stops at a
 prefix on which T vanishes (every later slot is then free), and reads the
 last slot off the joint kernel of the prefix's contractions instead of
 scanning it.  Contractions are memoised per tuple of basis rows, so each
-point tuple is contracted once per walk.  Listing callers expand the
-leaves into subspace tuples, the count adds their sizes, and the cap is
-charged one unit per node of the walk.
+point tuple is contracted once per walk; over F_2 a (d-1)-tuple's rows
+are kept packed, and a leaf is one XOR elimination.  Listing callers
+expand the leaves into subspace tuples, the count adds their sizes from
+each leaf's rank alone, and the cap is charged one unit per node of the
+walk.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ from .grassmann import (
     Subspace,
     enumerate_grassmannian,
     gauss_binom,
+    gf2_basis,
+    gf2_kernel,
+    gf2_pack,
     kernel_basis,
     rref,
     span_points,
@@ -375,7 +380,7 @@ def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Sub
         yield Subspace.span(field, n, vectors)
 
 
-def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
+def _slot_walk(T: Tensor, bases: list, cap: int, nullity: bool = False) -> Iterator[tuple]:
     """Walk the first d - 1 slots of T over ``bases``, a list of row
     tuples, and yield one (prefix, kernel) per leaf; ``prefix`` holds
     indices into ``bases``, in lexicographic order.
@@ -383,12 +388,38 @@ def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
     A prefix's blocks are T contracted against every choice of one row
     from each of its bases.  ``kernel`` is None when they all vanish, so
     every later slot is free; otherwise the prefix has d - 1 entries and
-    ``kernel`` is the last slot's kernel of the stacked blocks.  Blocks are
-    memoised per tuple of rows: when every row is a canonical projective
-    point (RREF rows are) there are at most P^(d-1) of them.  The cap is
-    charged one unit per node, the root included."""
+    ``kernel`` is the last slot's kernel basis of the stacked blocks, or
+    with ``nullity`` only its dimension.  Blocks are memoised per tuple of
+    rows: when every row is a canonical projective point (RREF rows are)
+    there are at most P^(d-1) of them.  A (d-1)-tuple's block is kept as
+    its m rows, zero rows dropped; over F_2 they are packed ints
+    (:func:`multilin.grassmann.gf2_pack`), so a leaf stacks ints and runs
+    one XOR elimination, and a ``nullity`` leaf reads its rank without
+    building kernel vectors.  Other fields take the list kernel.  The cap
+    is charged one unit per node, the root included."""
     field, n, d, m = T.field, T.n, T.d, T.m
+    if field.q == 2:
+
+        def leaf_rows(block):
+            packed = (gf2_pack(block[o * n : (o + 1) * n]) for o in range(m))
+            return tuple(x for x in packed if x)
+
+        def leaf(stack):
+            basis = gf2_basis(stack)
+            return n - len(basis) if nullity else gf2_kernel(basis, n)
+
+    else:
+
+        def leaf_rows(block):
+            rows = (block[o * n : (o + 1) * n] for o in range(m))
+            return tuple(r for r in rows if any(r))
+
+        def leaf(stack):
+            basis = kernel_basis(field, stack, n)
+            return len(basis) if nullity else basis
+
     memo = {(): T.coeffs}
+    leaves = {(): leaf_rows(T.coeffs)} if d == 1 else {}
     nodes = 0
 
     def walk(prefix, keys):
@@ -396,21 +427,22 @@ def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
         nodes += 1
         if nodes > cap:
             raise CapExceededError("slot walk exceeded its cap")
-        blocks = [memo[key] for key in keys]
-        if not any(map(any, blocks)):
+        if len(prefix) == d - 1:
+            stack = [r for key in keys for r in leaves[key]]
+            yield prefix, (leaf(stack) if stack else None)
+            return
+        if not any(map(any, (memo[key] for key in keys))):
             yield prefix, None
-        elif len(prefix) == d - 1:
-            yield prefix, _last_slot_kernel(field, blocks, m, n)
-        else:
-            order = d - len(prefix)
-            for i, rows in enumerate(bases):
-                child = [key + (r,) for key in keys for r in rows]
-                for key in child:
-                    if key not in memo:
-                        memo[key] = _contract_first(
-                            field, memo[key[:-1]], m, n, order, key[-1]
-                        )
-                yield from walk(prefix + (i,), child)
+            return
+        order = d - len(prefix)
+        store = leaves if order == 2 else memo
+        for i, rows in enumerate(bases):
+            child = [key + (r,) for key in keys for r in rows]
+            for key in child:
+                if key not in store:
+                    block = _contract_first(field, memo[key[:-1]], m, n, order, key[-1])
+                    store[key] = leaf_rows(block) if order == 2 else block
+            yield from walk(prefix + (i,), child)
 
     return walk((), [()])
 
@@ -482,18 +514,20 @@ def isotropic_plane_tuples(T: Tensor, cap: int = DEFAULT_CAP) -> list:
 
 def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAULT_CAP) -> int:
     """|D| for D the set of plane tuples annihilating T, without listing:
-    each leaf of the slot walk adds its free tails or the planes of its
-    kernel.  When ``limit`` is given, counting stops once the count passes
-    it, so a result above ``limit`` is only a lower bound."""
+    each leaf of the slot walk adds its free tails or the [N - rank, 2]_q
+    planes of its kernel, read off the leaf's rank with no kernel vector
+    built (one packed XOR elimination over F_2).  When ``limit`` is given,
+    counting stops once the count passes it, so a result above ``limit``
+    is only a lower bound."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple counting needs a dense tensor")
     planes = list(enumerate_grassmannian(T.field, T.n, 2, cap=cap))
     count = 0
-    for prefix, kernel in _slot_walk(T, [V.rows for V in planes], cap):
-        if kernel is None:
+    for prefix, dim in _slot_walk(T, [V.rows for V in planes], cap, nullity=True):
+        if dim is None:
             count += len(planes) ** (T.d - len(prefix))
         else:
-            count += gauss_binom(len(kernel), 2, T.field.q)
+            count += gauss_binom(dim, 2, T.field.q)
         if limit is not None and count > limit:
             break
     return count

@@ -321,6 +321,18 @@ def test_build_matches_brute_force_evaluation(q, N, d, m, data):
     assert build_hypergraph(T).edges == brute_force_edges(T)
 
 
+@pytest.mark.parametrize("d, m", [(d, m) for d in (2, 3, 4) for m in (1, 2, 3)])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_build_over_f2_matches_brute_force_evaluation(d, m, data):
+    # the packed leaf: zeros often, so kernels are large and prefixes vanish
+    N = 3
+    bits = st.sampled_from((0, 0, 0, 1))
+    coeffs = data.draw(st.lists(bits, min_size=m * N**d, max_size=m * N**d))
+    T = Tensor(field_of_order(2), N, d, m, coeffs)
+    assert build_hypergraph(T).edges == brute_force_edges(T)
+
+
 @pytest.mark.parametrize("q, m", [(2, 1), (3, 2), (4, 1)])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())

@@ -590,12 +590,39 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("grassmann count --q 2 --n 3 --k 1 --l 0", id="count-with-l"),
     pytest.param("grassmann count --q 2 --n 3 --k 1 --format csv", id="count-with-format"),
     pytest.param("grassmann enum --q 2 --n 3 --k 1 --format json", id="enum-with-format"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 2 --m 1 --r 2 --seed 5",
+                 id="incidence-hom-with-r-and-seed"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 2 --m 1 --seed 5",
+                 id="incidence-hom-with-seed"),
+    pytest.param("isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k 1 --r 2",
+                 id="incidence-alt-with-r"),
+    pytest.param("isotropy field-min --q 2 --n 3 --d 2 --m 1 --r 2 --kind hom",
+                 id="field-min-with-r-and-kind"),
+    pytest.param("isotropy field-min --q 2 --n 3 --d 2 --m 1 --seed 3",
+                 id="field-min-seed-without-samples"),
+    pytest.param("isotropy hom --q 2 --n 3 --d 2 --m 1 --k 1 --kind alt",
+                 id="hom-with-kind-alt"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind hom", id="alt-with-kind-hom"),
+    pytest.param("isotropy planes --tensor T.json --seed 1", id="tensor-file-with-seed"),
+    pytest.param("tensor show --tensor T.json --kind alt", id="tensor-file-with-kind"),
+    pytest.param("boxfree verify --hypergraph-in FREE.json --seed 1", id="verify-with-seed"),
+    pytest.param("boxfree verify --hypergraph-in FREE.json --max-trials 3",
+                 id="verify-with-max-trials"),
+    pytest.param("boxfree verify --hypergraph-in FREE.json --format text",
+                 id="verify-with-format"),
+    pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --format text",
+                 id="gen-format-without-hypergraph"),
+    pytest.param("tensor random --q 2 --n 2 --d 2 --m 1 --r 0", id="tensor-random-r-0"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("{not json")
     (tmp_path / "badtoken.txt").write_text("# 2 2 2 1\n0 x\n")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
+    (tmp_path / "FREE.json").write_text(json.dumps(free))
+    assert main("tensor random --q 2 --n 2 --d 2 --m 1 --out T.json".split()) == 0
+    capsys.readouterr()
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "precondition error" in captured.err

@@ -23,6 +23,7 @@ from multilin.isotropy import (
     count_plane_tuples,
     isotropic_plane_tuples,
 )
+from multilin.prng import SplitMix64
 from multilin.tensor import (
     AltTensor,
     Tensor,
@@ -384,6 +385,94 @@ def test_slot_walk_cap_charges_one_unit_per_node():
         count_plane_tuples(identity, cap=7)
     assert alpha_hom(identity, 2, cap=8) == HomIsotropyResult(False, None, True)
     assert alpha_hom(identity, 2, cap=7) == HomIsotropyResult(False, None, False)
+
+
+# ---------------------------------------------------------------------------
+# the slot walk over F_2, on packed leaf rows
+# ---------------------------------------------------------------------------
+
+
+def f2_walk_map(N, d, m, seed):
+    """A map on (F_2^N)^d.  Seeds 0 and 1 keep the coefficients with every
+    index in the last two at zero, so T vanishes on span(e_{N-1}, e_N)^d,
+    and set the others with probability 1/2 and 1/4.  Seed 2 keeps only
+    first index 0: T = x_1 B(y, ...) vanishes once the first plane lies
+    in x_1 = 0, so the walk has free leaves."""
+    rng = SplitMix64(seed)
+
+    def keep(idx):
+        if seed == 2:
+            return idx[0] == 0 and rng.below(2) == 0
+        return min(idx) < N - 2 and rng.below(2 + 2 * seed) == 0
+
+    coeffs = [int(keep(idx)) for _ in range(m) for idx in itertools.product(range(N), repeat=d)]
+    return Tensor(F2, N, d, m, coeffs)
+
+
+# (N, d, m, seed) -> (plane-tuple count, the least cap under which
+# count_plane_tuples finishes, the least cap under which alpha_hom(T, 2)
+# is exhausted, its witness rows), as computed by the list-kernel walk
+F2_WALK_PINS = {
+    (4, 2, 1, 0): (177, 36, 35, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)))),
+    (4, 2, 1, 1): (177, 36, 35, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)))),
+    (4, 2, 1, 2): (441, 36, 35, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 1, 0, 0), (0, 0, 1, 0)))),
+    (4, 2, 2, 0): (11, 36, 35, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 1)))),
+    (4, 2, 2, 1): (6, 36, 35, (((1, 0, 0, 0), (0, 0, 1, 1)), ((0, 1, 0, 0), (0, 0, 0, 1)))),
+    (4, 2, 2, 2): (273, 36, 35, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 1), (0, 1, 0, 1)))),
+    (4, 2, 3, 0): (1, 36, 36, (((0, 0, 1, 0), (0, 0, 0, 1)), ((0, 0, 1, 0), (0, 0, 0, 1)))),
+    (4, 2, 3, 1): (3, 36, 35, (((1, 0, 0, 0), (0, 0, 1, 1)), ((0, 1, 0, 0), (0, 0, 0, 1)))),
+    (4, 2, 3, 2): (245, 36, 35, (((0, 1, 0, 0), (0, 0, 1, 0)), ((1, 0, 0, 0), (0, 1, 0, 0)))),
+    (3, 3, 1, 0): (4, 57, 7, (((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)))),
+    (3, 3, 1, 1): (16, 57, 7, (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 1, 2): (67, 50, 7, (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((1, 1, 0), (0, 0, 1)))),
+    (3, 3, 2, 0): (1, 57, 57, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 2, 1): (1, 57, 57, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 2, 2): (49, 50, 50, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 3, 3, 0): (1, 57, 57, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 3, 1): (1, 57, 57, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 3, 2): (49, 50, 50, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 4, 1, 0): (1, 400, 400, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 4, 1, 1): (2, 400, 286, (((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 1), (0, 1, 0)))),
+    (3, 4, 1, 2): (343, 344, 344, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 4, 2, 0): (1, 400, 400, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 4, 2, 1): (1, 400, 400, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 4, 2, 2): (343, 344, 344, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 4, 3, 0): (1, 400, 400, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 4, 3, 1): (1, 400, 400, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 4, 3, 2): (343, 344, 344, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(F2_WALK_PINS))
+def test_f2_walk_count_and_list_match_brute_force(key):
+    T = f2_walk_map(*key)
+    brute = _brute_tuples(T, 2)
+    listed = isotropic_plane_tuples(T)
+    assert [tuple(V.rows for V in tup) for tup in listed] == brute
+    assert count_plane_tuples(T) == len(listed) == len(brute) == F2_WALK_PINS[key][0]
+
+
+@pytest.mark.parametrize("key", sorted(F2_WALK_PINS))
+def test_f2_alpha_hom_witness_is_pinned(key):
+    result = alpha_hom(f2_walk_map(*key), 2)
+    assert result.found and result.exhausted
+    assert tuple(V.rows for V in result.witness) == F2_WALK_PINS[key][3]
+
+
+@pytest.mark.parametrize("key", sorted(F2_WALK_PINS))
+def test_f2_walk_cap_charge_is_pinned_on_both_sides(key):
+    # the packed leaf charges the cap as the list kernel did: one unit per node
+    T = f2_walk_map(*key)
+    _, count_cap, hom_cap, _ = F2_WALK_PINS[key]
+    count_plane_tuples(T, cap=count_cap)
+    with pytest.raises(CapExceededError):
+        count_plane_tuples(T, cap=count_cap - 1)
+    assert alpha_hom(T, 2, cap=hom_cap).exhausted
+    if hom_cap - 1 < gauss_binom(T.n, 2, 2):  # the plane list alone exceeds it
+        with pytest.raises(CapExceededError):
+            alpha_hom(T, 2, cap=hom_cap - 1)
+    else:
+        assert not alpha_hom(T, 2, cap=hom_cap - 1).exhausted
 
 
 def test_alpha_hom_matches_brute_force_random():

@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from multilin.errors import InvariantViolation
 from multilin.field import field_of_order
-from multilin.grassmann import kernel_basis, rref, span_points
+from multilin.grassmann import (
+    gf2_basis,
+    gf2_pack,
+    gf2_unpack,
+    kernel_basis,
+    kernel_basis_by_rref,
+    rank,
+    rref,
+    span_points,
+)
 from multilin.isotropy import _rref_insert
 
 # prime fields, and extension fields in characteristic 2 (XOR addition, 512
@@ -84,6 +93,29 @@ def test_rref_and_kernel_match_naive_elimination(case):
     F, ncols, rows = case
     assert rref(F, rows) == naive_rref(F, rows)
     assert kernel_basis(F, rows, ncols) == naive_kernel(F, [r for r in rows if any(r)], ncols)
+
+
+@st.composite
+def f2_matrices(draw):
+    """0-16 rows over F_2^n, n in 0..12, drawn sparse, with zero rows and
+    repeats of earlier rows mixed in."""
+    n = draw(st.integers(0, 12))
+    row = st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=16))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * n
+        rows.insert(draw(st.integers(0, len(rows))), list(extra))
+    return n, rows[:16]
+
+
+@given(f2_matrices())
+@settings(max_examples=300, deadline=None)
+def test_packed_f2_elimination_matches_the_list_route(case):
+    n, rows = case
+    F = field_of_order(2)
+    assert kernel_basis(F, rows, n) == kernel_basis_by_rref(F, rows, n)
+    assert rank(F, rows) == len(rref(F, rows)[0]) == len(gf2_basis(map(gf2_pack, rows)))
+    assert [gf2_unpack(gf2_pack(r), n) for r in rows] == [tuple(r) for r in rows]
 
 
 @given(matrices(max_rows=4, max_cols=5), st.data())
