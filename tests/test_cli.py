@@ -437,12 +437,52 @@ PINNED_DOCUMENTS = {
         "f0f3c110ad8747ab46951646ea08bed37728dc297382e416b2dd9599d4ea8e77",
     "tensor random --q 9 --n 3 --d 2 --m 2 --kind alt --seed 5 --out T.json":
         "80f240b56be19e420f03465b00b0c9e038aa37d9faf5445d187d29add554bba7",
+    "isotropy alt --q 2 --n 4 --d 2 --m 1 --seed 9":
+        "f2a22c174f7ecebb800f5bf029f6ff93695b1096e2595b794dde930ca263d467",
+    "isotropy alt --tensor ALT.json":
+        "9146b2f453aa1abad28a1ae01ac4223ad383f0f887c1f9fbe2ee4d6711d89b5f",
+    "isotropy field-min --q 2 --n 3 --d 2 --m 1":
+        "5a03fa2ba28228acd5e1af5d249912d9d46e8096504b1ec2a621b10dc2c5f46f",
+    "isotropy field-min --q 2 --n 3 --d 2 --m 1 --samples 5 --seed 2":
+        "d4b4d45cdd0e5813752d15cb25f12456673af2c0b2d1ee1da2b004a99f38ccd5",
+    "isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k 1 --raw":
+        "ae0196ada813381b650a74e005b146372fc63c6ab80f7826e9fe0a295b372da5",
+    "isotropy incidence-hom --q 2 --n 3 --d 2 --m 1":
+        "37af2885f1623e338aac0863622391f2cdeb08910542a4702666c118906f8574",
+    "rank zeros --q 3 --n 2 --d 2 --m 1 --seed 4":
+        "361eff7dad05225fc5ea018d64d91f3ca4ed7a854aff884003da25b714f7b7fa",
+    "rank ar --tensor HOM.json":
+        "bce238d3b05969829a4919ed5ccfd93515c8cd251f1a578b4250bffce0501465",
+    "grassmann count --q 3 --n 4 --k 2":
+        "caf98bc10e58464c7d7e048f24a4390920b38942008ec50e0147d93c462c267f",
+    "grassmann enum --q 2 --n 3 --k 2":
+        "9e7254ce9d9a717a6c05c505b70a6b31537608c7193ce1869c858f6ec158f525",
+    "grassmann strata --q 2 --n 4 --k 2":
+        "540181ff76842a6b6c255799cf0b19db08de9b565540c995e1547e4f6ec884b1",
+    "boxfree verify --hypergraph-in FREE.json":
+        "9cb2d88ab1bf7e33a88c087f3160de921404fa48ff9d79a5f254350b85394ac3",
+    "tensor random --q 3 --n 3 --d 2 --m 1 --seed 7":
+        "0bf9938cfc37ff2a4cde226f017c9286a520d646333dfa66420558d334c5387b",
+    "tensor show --tensor ALT.json":
+        "bcb1159f40e733975feb26b9831df386c99c091650407d077f7c4342a19e36e1",
 }
 # sha256 of the files those invocations write
 PINNED_FILES = {
     "H.json": "b540a1fec926da50db9229d7b1bacaaa33ef1c0915e92f2e208e58380ff9051f",
     "T.json": "a0458728d5aba1aab55a25d4443576c1d4a5ae06ca7fdb42cc1cb0e75c2b4bc2",
 }
+
+
+def write_input_files(folder):
+    """FREE.json, a box-free hypergraph, and the tensor files ALT.json (an
+    alternating map over F_2) and HOM.json (a map over F_3)."""
+    free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
+    (folder / "FREE.json").write_text(json.dumps(free))
+    for argv in (
+        "tensor random --q 2 --n 4 --d 2 --m 1 --kind alt --seed 3 --out ALT.json",
+        "tensor random --q 3 --n 2 --d 2 --m 1 --seed 2 --out HOM.json",
+    ):
+        assert main(argv.split()) == 0
 
 
 def _sha256(text):
@@ -452,6 +492,8 @@ def _sha256(text):
 @pytest.mark.parametrize("argv", sorted(PINNED_DOCUMENTS))
 def test_cli_documents_are_pinned(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)  # --hypergraph and --out write here
+    write_input_files(tmp_path)
+    capsys.readouterr()
     assert main(argv.split()) == 0
     out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', capsys.readouterr().out)
     assert _sha256(out) == PINNED_DOCUMENTS[argv]
