@@ -1,17 +1,21 @@
 """Command-line surface: every operation behind one entry point.
 
-All subcommands emit a single JSON document (stdout or --out) with the
-envelope {"command", "params", "timestamp", ...payload}.  Counts that can
-exceed 2^53 are serialized as decimal strings.  Identical argv and seed
-give byte-identical output except for the timestamp field.
+Each command has one subcommand per operation (``isotropy alt``, ``rank
+zeros``, ``formula gq``, ...) that declares exactly the flags it reads, so
+the parser itself refuses any other flag, and ``--help`` after an
+operation lists its flags.  Every operation emits a single JSON document
+(stdout or --out) with the envelope {"command", "params", "timestamp",
+...payload}, where params records the flags that name the instance.
+Counts that can exceed 2^53 are serialized as decimal strings.  Identical
+argv and seed give byte-identical output except for the timestamp field.
 
-Exit codes: 0 success, 2 precondition violated (a missing or bad flag,
-an input flag the operation would not read, an input file that cannot be
-read or parsed, an output path that cannot be written), 3 enumeration cap
-exceeded, 4 invariant violation (e.g. a freeness failure, which would
-falsify a verified argument), 1 selftest failure.  Files are read only
-through ``_read`` and written, like stdout, only through ``_write``;
-output paths are checked before the work starts.
+Exit codes: 0 success, 2 precondition violated (an unknown, missing or bad
+flag, an input file that cannot be read or parsed, an output path that
+cannot be written), 3 enumeration cap exceeded, 4 invariant violation
+(e.g. a freeness failure, which would falsify a verified argument), 1
+selftest failure.  Files are read only through ``_read`` and written, like
+stdout, only through ``_write``; output paths are checked before the work
+starts.
 """
 
 from __future__ import annotations
@@ -28,10 +32,17 @@ from .field import field_make, field_of_order
 from .tensor import base_change, random_tensor, tensor_from_dict
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a precondition error: exit 2, nothing on stdout."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
 def _cap(args) -> int:
     """--cap, else ISOTROPY_CAP, else the default; a given cap must be a
     positive integer."""
-    cap = getattr(args, "cap", None)
+    cap = args.cap
     source = "--cap"
     if cap is None:
         env = os.environ.get("ISOTROPY_CAP")
@@ -49,51 +60,8 @@ def _cap(args) -> int:
     return cap
 
 
-# defaults of flags that some operations do not read: the flags parse to
-# None, so that _refuse sees them there, and the default is filled in
-# where an operation reads them
-DEFAULTS = {"kind": "hom", "seed": 0, "r": 1, "max_trials": 512}
-
-
-def _value(args, name):
-    """The flag's value, or its default when it was not given."""
-    value = getattr(args, name, None)
-    return DEFAULTS.get(name) if value is None else value
-
-
-def _add_common(parser):
-    parser.add_argument("--out", help="write the JSON document here instead of stdout")
-    parser.add_argument("--cap", type=int, help="enumeration cap (overrides ISOTROPY_CAP)")
-
-
-def _add_tensor_source(parser, kind_choice=True):
-    parser.add_argument("--tensor", help="tensor JSON file")
-    parser.add_argument("--q", type=int, help="field order (prime power)")
-    parser.add_argument("--n", type=int, help="ambient dimension")
-    parser.add_argument("--d", type=int, help="order of the map")
-    parser.add_argument("--m", type=int, help="codomain dimension")
-    if kind_choice:
-        parser.add_argument("--kind", choices=("hom", "alt"), help="tensor kind (default hom)")
-    parser.add_argument("--seed", type=int, help="splitmix64 seed (default 0)")
-    parser.add_argument(
-        "--r",
-        type=int,
-        help="search over the degree-r extension of the tensor's field (default 1)",
-    )
-
-
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise PreconditionError(f"--{name.replace('_', '-')} is required")
-
-
-def _refuse(args, name: str) -> None:
-    """Reject a flag that the operation would not read."""
-    if getattr(args, name) is not None:
-        raise PreconditionError(
-            f"'{args.command} {args.operation}' does not read --{name.replace('_', '-')}"
-        )
+def _params(args, names: str) -> dict:
+    return {name: getattr(args, name) for name in names.split()}
 
 
 def _read(path: str) -> str:
@@ -142,36 +110,33 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_tensor(args, kind=None):
-    given = getattr(args, "kind", None)
-    if kind and given not in (None, kind):
-        raise PreconditionError(
-            f"'{args.command} {args.operation}' needs a {kind!r} tensor, not --kind {given}"
-        )
+    """The map an operation reads, over the degree-r extension of its field
+    (r from --r), and the params that name it.  The map is the --tensor
+    file, or is generated from --q --n --d --m --seed and, where the
+    operation takes any kind, --kind; those flags parse to None so that
+    they can be refused next to --tensor."""
+    given = {name: getattr(args, name, None) for name in ("q", "n", "d", "m", "seed", "kind")}
     if args.tensor:
-        generation = ("q", "n", "d", "m", "seed", "kind")
-        if any(getattr(args, name, None) is not None for name in generation):
-            raise PreconditionError(
-                "give either --tensor or generation parameters, not both"
-            )
+        if any(value is not None for value in given.values()):
+            raise PreconditionError("give either --tensor or generation parameters, not both")
         T = tensor_from_dict(_read_json(args.tensor))
+        params = {"tensor": args.tensor}
     else:
-        _require(args, "q", "n", "d", "m")
+        for name in ("q", "n", "d", "m"):
+            if given[name] is None:
+                raise PreconditionError(f"--{name} is required")
+        params = {**_params(args, "q n d m"), "seed": given["seed"] or 0}
+        F = field_of_order(args.q)
         T = random_tensor(
-            field_of_order(args.q),
-            args.n,
-            args.d,
-            args.m,
-            kind or _value(args, "kind"),
-            _value(args, "seed"),
+            F, args.n, args.d, args.m, kind or given["kind"] or "hom", params["seed"]
         )
     if kind and T.kind != kind:
         raise PreconditionError(f"this operation needs a {kind!r} tensor, got {T.kind!r}")
-    return _extend(args, T)
+    return _extend(T, args.r), {**params, "r": args.r}
 
 
-def _extend(args, T):
-    """T over the degree-r extension of its field, r from --r."""
-    r = _value(args, "r")
+def _extend(T, r: int):
+    """T over the degree-r extension of its field."""
     if r < 1:
         raise PreconditionError("--r must be a positive integer")
     if r > 1:
@@ -179,9 +144,17 @@ def _extend(args, T):
     return T
 
 
-def _emit(args, payload: dict) -> None:
-    stamped = {**payload, "timestamp": datetime.now(timezone.utc).isoformat()}
+def _emit(args, params: dict, payload: dict) -> int:
+    """Write the operation's document to --out or stdout; exit code 0."""
+    operation = getattr(args, "operation", None)
+    stamped = {
+        "command": f"{args.command}-{operation}" if operation else args.command,
+        "params": params,
+        **payload,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
     _write(args.out, json.dumps(stamped, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +171,29 @@ def _box_exponent(args) -> dict:
     return {**_generic(str(exponent)), "admissible": admissible}
 
 
-# quantity -> (the flags it needs, evaluator of the document's value fields)
+# quantity -> (the flags it reads, evaluator of the document's value fields)
 FORMULAS = {
-    "alpha-bound": (("n", "d", "m"), lambda a: _generic(formulas.alpha_bound(a.n, a.d, a.m))),
+    "alpha-bound": ("n d m", lambda a: _generic(formulas.alpha_bound(a.n, a.d, a.m))),
     "alpha-alt": (
-        ("n", "d", "m"),
+        "n d m char_zero",
         lambda a: formulas.alpha_alt_closed(a.n, a.d, a.m, a.char_zero)._asdict(),
     ),
-    "fp": (("d", "m", "k"), lambda a: formulas.fp_number(a.d, a.m, a.k, a.char_zero)._asdict()),
+    "fp": ("d m k char_zero", lambda a: formulas.fp_number(a.d, a.m, a.k, a.char_zero)._asdict()),
     "turan": (
-        ("n", "d", "k"),
+        "n d k char_zero",
         lambda a: formulas.turan_number(a.n, a.d, a.k, a.char_zero)._asdict(),
     ),
-    "gq": (("n", "d"), lambda a: formulas.gq_number(a.n, a.d)._asdict()),
-    "iso2": (("n", "d", "m"), lambda a: _generic(formulas.has_plane_isotropy(a.n, a.d, a.m))),
-    "box-exponent": (("n", "d", "m"), _box_exponent),
+    "gq": ("n d", lambda a: formulas.gq_number(a.n, a.d)._asdict()),
+    "iso2": ("n d m", lambda a: _generic(formulas.has_plane_isotropy(a.n, a.d, a.m))),
+    "box-exponent": ("n d m", _box_exponent),
 }
 
 
 def cmd_formula(args) -> int:
-    needs, evaluate = FORMULAS[args.quantity]
-    _require(args, *needs)
-    params = {name: getattr(args, name) for name in ("n", "d", "m", "k") if getattr(args, name)}
-    if args.char_zero:
-        params["char_zero"] = True
-    _emit(
-        args,
-        {"command": "formula", "quantity": args.quantity, "params": params, **evaluate(args)},
-    )
-    return 0
+    flags, evaluate = FORMULAS[args.quantity]
+    # every flag read, but --char-zero only when given
+    params = {name: value for name in flags.split() if (value := getattr(args, name)) is not False}
+    return _emit(args, params, {"quantity": args.quantity, **evaluate(args)})
 
 
 # ---------------------------------------------------------------------------
@@ -234,84 +201,56 @@ def cmd_formula(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# isotropy flag -> the operations that read it; the others refuse it
-# (field-min reads --seed only to sample, and alt and hom take only a
-# --kind that names their own kind)
-ISOTROPY_READERS = {
-    "k": ("hom", "incidence-alt"),
-    "samples": ("field-min",),
-    "raw": ("incidence-alt", "incidence-hom"),
-    "seed": ("alt", "hom", "field-min", "planes"),
-    "r": ("alt", "hom", "planes"),
-    "kind": ("alt", "hom", "planes"),
+def cmd_isotropy_alt(args) -> int:
+    cap = _cap(args)
+    T, params = _load_tensor(args, "alt")
+    return _emit(args, params, isotropy.alpha_alt(T, cap).to_dict())
+
+
+def cmd_isotropy_hom(args) -> int:
+    cap = _cap(args)
+    T, params = _load_tensor(args, "hom")
+    return _emit(args, {**params, "k": args.k}, isotropy.alpha_hom(T, args.k, cap).to_dict())
+
+
+def cmd_isotropy_planes(args) -> int:
+    cap = _cap(args)
+    T, params = _load_tensor(args)
+    tuples = isotropy.isotropic_plane_tuples(T, cap)
+    payload = {"count": str(len(tuples)), "tuples": [[V.to_dict() for V in tup] for tup in tuples]}
+    return _emit(args, params, payload)
+
+
+def cmd_isotropy_field_min(args) -> int:
+    cap = _cap(args)
+    if args.samples is None and args.seed is not None:
+        raise PreconditionError("--seed is read only with --samples")
+    params, seed = _params(args, "q n d m"), args.seed or 0
+    if args.samples is not None:
+        params.update(samples=args.samples, seed=seed)
+    result = isotropy.alpha_field_alt(
+        field_of_order(args.q), args.n, args.d, args.m, cap, samples=args.samples, seed=seed
+    )
+    return _emit(args, params, result.to_dict())
+
+
+# incidence operation -> (the flags it reads, its count, the raw cross-check)
+INCIDENCES = {
+    "incidence-alt": ("q n d m k", isotropy.count_alt_incidence, isotropy.count_alt_incidence_raw),
+    "incidence-hom": ("q n d m", isotropy.count_hom_incidence, isotropy.count_hom_incidence_raw),
 }
 
 
-def cmd_isotropy(args) -> int:
+def cmd_isotropy_incidence(args) -> int:
+    flags, count, count_raw = INCIDENCES[args.operation]
     cap = _cap(args)
-    op = args.operation
-    for name, readers in ISOTROPY_READERS.items():
-        if op not in readers:
-            _refuse(args, name)
-    if op in ("hom", "incidence-alt"):
-        _require(args, "k")
-    if op == "field-min" and args.samples is None:
-        _refuse(args, "seed")
-    if op in ("field-min", "incidence-alt", "incidence-hom"):
-        _refuse(args, "tensor")
-        _require(args, "q", "n", "d", "m")
-    if op == "alt":
-        T = _load_tensor(args, kind="alt")
-        result = isotropy.alpha_alt(T, cap)
-        payload = result.to_dict()
-    elif op == "hom":
-        T = _load_tensor(args, kind="hom")
-        result = isotropy.alpha_hom(T, args.k, cap)
-        payload = result.to_dict()
-    elif op == "field-min":
-        F = field_of_order(args.q)
-        result = isotropy.alpha_field_alt(
-            F, args.n, args.d, args.m, cap, samples=args.samples, seed=_value(args, "seed")
-        )
-        payload = result.to_dict()
-    elif op == "incidence-alt":
-        F = field_of_order(args.q)
-        payload = {"count": str(isotropy.count_alt_incidence(F, args.n, args.d, args.m, args.k))}
-        if args.raw:
-            payload["raw_count"] = str(
-                isotropy.count_alt_incidence_raw(F, args.n, args.d, args.m, args.k, cap)
-            )
-    elif op == "incidence-hom":
-        F = field_of_order(args.q)
-        payload = {"count": str(isotropy.count_hom_incidence(F, args.n, args.d, args.m))}
-        if args.raw:
-            payload["raw_count"] = str(
-                isotropy.count_hom_incidence_raw(F, args.n, args.d, args.m, cap)
-            )
-    elif op == "planes":
-        T = _load_tensor(args)
-        tuples = isotropy.isotropic_plane_tuples(T, cap)
-        payload = {
-            "count": str(len(tuples)),
-            "tuples": [[V.to_dict() for V in tup] for tup in tuples],
-        }
-    else:  # pragma: no cover
-        raise PreconditionError(f"unknown operation {op}")
-    payload["command"] = f"isotropy-{op}"
-    payload["params"] = _source_params(args)
-    _emit(args, payload)
-    return 0
-
-
-def _source_params(args) -> dict:
-    out = {}
-    for name in ("q", "n", "d", "m", "k", "seed", "samples", "r"):
-        v = _value(args, name)
-        if v is not None:
-            out[name] = v
-    if getattr(args, "tensor", None):
-        out["tensor"] = args.tensor
-    return out
+    params = _params(args, flags)
+    F = field_of_order(args.q)
+    shape = list(params.values())[1:]  # the flags after --q
+    payload = {"count": str(count(F, *shape))}
+    if args.raw:
+        payload["raw_count"] = str(count_raw(F, *shape, cap))
+    return _emit(args, params, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -319,53 +258,48 @@ def _source_params(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rank(args) -> int:
+def cmd_rank_zeros(args) -> int:
     cap = _cap(args)
-    T = _load_tensor(args, kind="hom")
-    if args.operation == "zeros":
-        payload = {"zero_count": str(rank.zero_count(T, cap, method=args.method))}
-    else:
-        payload = rank.analytic_rank(T, cap).to_dict()
-    payload["command"] = f"rank-{args.operation}"
-    payload["params"] = _source_params(args)
-    _emit(args, payload)
-    return 0
+    T, params = _load_tensor(args, "hom")
+    return _emit(args, params, {"zero_count": str(rank.zero_count(T, cap, method=args.method))})
 
 
-def cmd_grassmann(args) -> int:
+def cmd_rank_ar(args) -> int:
+    cap = _cap(args)
+    T, params = _load_tensor(args, "hom")
+    return _emit(args, params, rank.analytic_rank(T, cap).to_dict())
+
+
+def cmd_grassmann_count(args) -> int:
+    field_of_order(args.q)  # q must be a prime power
+    count = grassmann.gauss_binom(args.n, args.k, args.q)
+    return _emit(args, _params(args, "q n k"), {"count": str(count)})
+
+
+def cmd_grassmann_enum(args) -> int:
+    cap = _cap(args)
+    subs = list(grassmann.enumerate_grassmannian(field_of_order(args.q), args.n, args.k, cap))
+    payload = {"count": str(len(subs)), "subspaces": [S.to_dict() for S in subs]}
+    return _emit(args, _params(args, "q n k"), payload)
+
+
+def cmd_grassmann_strata(args) -> int:
     cap = _cap(args)
     F = field_of_order(args.q)
-    params = {"q": args.q, "n": args.n, "k": args.k}
-    if args.operation != "strata":
-        _refuse(args, "l")
-        _refuse(args, "format")
-    if args.operation == "count":
-        payload = {"count": str(grassmann.gauss_binom(args.n, args.k, args.q))}
-    elif args.operation == "enum":
-        subs = list(grassmann.enumerate_grassmannian(F, args.n, args.k, cap))
-        payload = {
-            "count": str(len(subs)),
-            "subspaces": [S.to_dict() for S in subs],
-        }
-    elif args.format == "csv":  # strata table
+    if args.format == "csv":
         if args.l is not None:
             raise PreconditionError("--format csv writes the whole profile; --l is not read")
         profile = grassmann.stratum_profile(F, args.n, args.k, cap)
         lines = ["l,count"] + [f"{l},{c}" for l, c in sorted(profile.items())]
         _write(args.out, "\n".join(lines) + "\n")
         return 0
-    else:  # strata
-        params["l"] = args.l
-        if args.l is not None:
-            count = grassmann.stratum_count(F, args.n, args.k, args.l, cap)
-            payload = {"l": args.l, "count": str(count)}
-        else:
-            profile = grassmann.stratum_profile(F, args.n, args.k, cap)
-            payload = {"profile": {str(l): str(c) for l, c in sorted(profile.items())}}
-    payload["command"] = f"grassmann-{args.operation}"
-    payload["params"] = params
-    _emit(args, payload)
-    return 0
+    if args.l is not None:
+        count = grassmann.stratum_count(F, args.n, args.k, args.l, cap)
+        payload = {"l": args.l, "count": str(count)}
+    else:
+        profile = grassmann.stratum_profile(F, args.n, args.k, cap)
+        payload = {"profile": {str(l): str(c) for l, c in sorted(profile.items())}}
+    return _emit(args, _params(args, "q n k l"), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -373,37 +307,28 @@ def cmd_grassmann(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_boxfree(args) -> int:
+def cmd_boxfree_gen(args) -> int:
     cap = _cap(args)
-    if args.operation == "gen":
-        _refuse(args, "hypergraph_in")
-        _require(args, "q", "n", "d", "m")
-        if args.hypergraph is None:
-            _refuse(args, "format")
-        F = field_of_order(args.q)
-        seed = _value(args, "seed")
-        result = boxfree.box_pipeline(
-            F, args.n, args.d, args.m, seed=seed, max_trials=_value(args, "max_trials"), cap=cap
-        )
-        if args.hypergraph:
-            if args.format == "text":
-                text = result.after.to_text(f"# {args.d} {args.n} {args.q} {args.m}")
-            else:
-                text = json.dumps(result.after.to_dict())
-            _write(args.hypergraph, text)
-        payload = {
-            "command": "boxfree-gen",
-            "params": {"q": args.q, "n": args.n, "d": args.d, "m": args.m, "seed": seed},
-            "certificate": result.certificate.to_dict(),
-        }
-        if args.hypergraph:
-            payload["hypergraph_file"] = args.hypergraph
-        _emit(args, payload)
-        return 0
-    # verify: freeness of a stored hypergraph (JSON, or the text edge list)
-    for name in ("q", "n", "d", "m", "seed", "max_trials", "hypergraph", "format"):
-        _refuse(args, name)
-    _require(args, "hypergraph_in")
+    if args.hypergraph is None and args.format is not None:
+        raise PreconditionError("--format is read only with --hypergraph")
+    F = field_of_order(args.q)
+    result = boxfree.box_pipeline(
+        F, args.n, args.d, args.m, seed=args.seed, max_trials=args.max_trials, cap=cap
+    )
+    payload = {"certificate": result.certificate.to_dict()}
+    if args.hypergraph:
+        if args.format == "text":
+            text = result.after.to_text(f"# {args.d} {args.n} {args.q} {args.m}")
+        else:
+            text = json.dumps(result.after.to_dict())
+        _write(args.hypergraph, text)
+        payload["hypergraph_file"] = args.hypergraph
+    return _emit(args, _params(args, "q n d m seed"), payload)
+
+
+def cmd_boxfree_verify(args) -> int:
+    """Freeness of a stored hypergraph (JSON, or the text edge list)."""
+    cap = _cap(args)
     raw = _read(args.hypergraph_in)
     if raw.lstrip().startswith("#"):
         H = boxfree.hypergraph_from_text(raw)
@@ -411,13 +336,11 @@ def cmd_boxfree(args) -> int:
         H = boxfree.Hypergraph.from_dict(_read_json(args.hypergraph_in, raw))
     free, witness = boxfree.freeness_check(H, cap)
     payload = {
-        "command": "boxfree-verify",
-        "params": {"in": args.hypergraph_in},
         "free": free,
         "witness": [list(pair) for pair in witness] if witness else None,
         "edge_count": str(H.edge_count),
     }
-    _emit(args, payload)
+    _emit(args, {"in": args.hypergraph_in}, payload)
     return 0 if free else 4
 
 
@@ -426,25 +349,21 @@ def cmd_boxfree(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_tensor(args) -> int:
-    if args.operation == "random":
-        _refuse(args, "tensor")
-        _require(args, "q", "n", "d", "m")
-        F = field_of_order(args.q)
-        kind, seed = _value(args, "kind"), _value(args, "seed")
-        T = _extend(args, random_tensor(F, args.n, args.d, args.m, kind, seed))
-        if args.out:
-            _write(args.out, json.dumps(T.to_dict(), indent=2, sort_keys=True))
-            args.out = None  # the envelope goes to stdout
-            payload = {"written": True}
-        else:
-            payload = {"tensor": T.to_dict()}
-        _emit(args, {"command": "tensor-random", "params": _source_params(args), **payload})
-        return 0
-    T = _load_tensor(args)
+def cmd_tensor_random(args) -> int:
+    T = random_tensor(field_of_order(args.q), args.n, args.d, args.m, args.kind, args.seed)
+    T = _extend(T, args.r)
+    if args.out:
+        _write(args.out, json.dumps(T.to_dict(), indent=2, sort_keys=True))
+        args.out = None  # the envelope goes to stdout
+        payload = {"written": True}
+    else:
+        payload = {"tensor": T.to_dict()}
+    return _emit(args, _params(args, "q n d m seed r"), payload)
+
+
+def cmd_tensor_show(args) -> int:
+    T = tensor_from_dict(_read_json(args.tensor))
     payload = {
-        "command": "tensor-show",
-        "params": {"tensor": args.tensor},
         "kind": T.kind,
         "q": T.field.q,
         "n": T.n,
@@ -453,8 +372,7 @@ def cmd_tensor(args) -> int:
         "coeff_count": len(T.coeffs),
         "nonzero_count": sum(1 for c in T.coeffs if c),
     }
-    _emit(args, payload)
-    return 0
+    return _emit(args, {"tensor": args.tensor}, payload)
 
 
 def cmd_selftest(args) -> int:
@@ -477,13 +395,8 @@ def cmd_selftest(args) -> int:
             f"{status} {c['id']:28s} {t:7.2f}s (budget {budget}s)",
             file=sys.stderr,
         )
-    payload = {
-        "command": "selftest",
-        "params": {"seed": args.seed},
-        "criteria": report["criteria"],
-        "all_passed": all_passed,
-    }
-    _emit(args, payload)
+    payload = {"criteria": report["criteria"], "all_passed": all_passed}
+    _emit(args, {"seed": args.seed}, payload)
     return 0 if all_passed else 1
 
 
@@ -492,98 +405,135 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+HELP = {
+    "q": "field order (prime power)",
+    "n": "ambient dimension",
+    "d": "order of the map",
+    "m": "codomain dimension",
+    "k": "subspace dimension",
+}
+
+
+def _ints(parser, names: str, required: bool = True) -> None:
+    for name in names.split():
+        parser.add_argument(f"--{name}", type=int, required=required, help=HELP.get(name))
+
+
+def _operation(operations, name: str, func, help: str, cap: bool = True):
+    """The subparser of one operation, with --out and, where the operation
+    reads a cap, --cap."""
+    parser = operations.add_parser(name, help=help, description=help)
+    parser.add_argument("--out", help="write the JSON document here instead of stdout")
+    if cap:
+        parser.add_argument("--cap", type=int, help="enumeration cap (overrides ISOTROPY_CAP)")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _tensor_source(operations, name: str, func, help: str):
+    """An operation on --tensor or on a generated map."""
+    parser = _operation(operations, name, func, help)
+    parser.add_argument("--tensor", help="tensor JSON file")
+    _ints(parser, "q n d m", required=False)
+    parser.add_argument("--seed", type=int, help="splitmix64 seed (default 0)")
+    parser.add_argument(
+        "--r",
+        type=int,
+        default=1,
+        help="search over the degree-r extension of the tensor's field (default 1)",
+    )
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multilin",
         description="Exact isotropy, rank, and box-free computations for "
         "multilinear maps over finite fields.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("formula", help="closed-form extremal quantities")
-    p.add_argument("quantity", choices=tuple(FORMULAS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--char-zero", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_formula)
+    def operations(command, help, dest="operation"):
+        return commands.add_parser(command, help=help).add_subparsers(dest=dest, required=True)
 
-    p = sub.add_parser("isotropy", help="isotropic-subspace searches and counts")
-    p.add_argument(
-        "operation",
-        choices=("alt", "hom", "field-min", "incidence-alt", "incidence-hom", "planes"),
-    )
-    _add_tensor_source(p)
-    p.add_argument("--k", type=int, help="target subspace dimension")
-    p.add_argument("--samples", type=int, help="sampling mode for field-min")
-    p.add_argument(
-        "--raw",
-        action="store_true",
-        default=None,
-        help="also run the raw enumeration cross-check (incidence counts)",
-    )
-    _add_common(p)
-    p.set_defaults(func=cmd_isotropy)
+    ops = operations("formula", "closed-form extremal quantities", dest="quantity")
+    for quantity, (flags, _) in FORMULAS.items():
+        p = _operation(ops, quantity, cmd_formula, f"the {quantity} closed form", cap=False)
+        for name in flags.split():
+            if name == "char_zero":
+                p.add_argument("--char-zero", action="store_true", help="assume characteristic 0")
+            else:
+                p.add_argument(f"--{name}", type=int, required=True)
 
-    p = sub.add_parser("rank", help="zero-set counts and analytic rank")
-    p.add_argument("operation", choices=("zeros", "ar"))
-    _add_tensor_source(p, kind_choice=False)
+    ops = operations("isotropy", "isotropic-subspace searches and counts")
+    _tensor_source(ops, "alt", cmd_isotropy_alt, "isotropy index of an alternating map")
+    p = _tensor_source(ops, "hom", cmd_isotropy_hom, "a k-subspace tuple a map annihilates")
+    _ints(p, "k")
+    p = _tensor_source(ops, "planes", cmd_isotropy_planes, "every plane tuple a map annihilates")
+    p.add_argument("--kind", choices=("hom", "alt"), help="kind of a generated map (default hom)")
+    p = _operation(ops, "field-min", cmd_isotropy_field_min, "least isotropy index over F_q")
+    _ints(p, "q n d m")
+    p.add_argument("--samples", type=int, help="sample this many maps instead of scanning all")
+    p.add_argument("--seed", type=int, help="splitmix64 seed of the samples (default 0)")
+    for name, (flags, _, _) in INCIDENCES.items():
+        p = _operation(ops, name, cmd_isotropy_incidence, "number of (subspaces, map) zero pairs")
+        _ints(p, flags)
+        p.add_argument("--raw", action="store_true", help="also count by raw enumeration")
+
+    ops = operations("rank", "zero-set counts and analytic rank")
+    p = _tensor_source(ops, "zeros", cmd_rank_zeros, "number of zeros of a map")
     p.add_argument("--method", choices=("kernel", "raw"), default="kernel")
-    _add_common(p)
-    p.set_defaults(func=cmd_rank)
+    _tensor_source(ops, "ar", cmd_rank_ar, "analytic rank of a map")
 
-    p = sub.add_parser("grassmann", help="subspace enumeration and strata")
-    p.add_argument("operation", choices=("enum", "count", "strata"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, help="intersection dimension (strata)")
+    ops = operations("grassmann", "subspace enumeration and strata")
+    p = _operation(ops, "count", cmd_grassmann_count, "number of k-subspaces", cap=False)
+    _ints(p, "q n k")
+    p = _operation(ops, "enum", cmd_grassmann_enum, "every k-subspace")
+    _ints(p, "q n k")
+    p = _operation(ops, "strata", cmd_grassmann_strata, "k-subspaces by intersection dimension")
+    _ints(p, "q n k")
+    p.add_argument("--l", type=int, help="intersection dimension (default: the whole profile)")
     p.add_argument(
         "--format",
         choices=("json", "csv"),
-        help="strata output: json (the default) or the csv profile table",
+        default="json",
+        help="json (the default) or the csv profile table",
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_grassmann)
 
-    p = sub.add_parser("boxfree", help="box-free hypergraph construction")
-    p.add_argument("operation", choices=("gen", "verify"))
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int, help="projective dimension (ambient n+1)")
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, help="splitmix64 seed (gen; default 0)")
-    p.add_argument("--max-trials", type=int, help="sampled map trials (gen; default 512)")
-    p.add_argument("--hypergraph", help="write the box-free hypergraph here (gen)")
-    p.add_argument("--hypergraph-in", help="hypergraph JSON to verify")
+    ops = operations("boxfree", "box-free hypergraph construction")
+    p = _operation(ops, "gen", cmd_boxfree_gen, "build and certify a box-free hypergraph")
+    _ints(p, "q")
+    p.add_argument("--n", type=int, required=True, help="projective dimension (ambient n+1)")
+    _ints(p, "d m")
+    p.add_argument("--seed", type=int, default=0, help="splitmix64 seed (default 0)")
+    p.add_argument("--max-trials", type=int, default=512, help="sampled map trials (default 512)")
+    p.add_argument("--hypergraph", help="write the box-free hypergraph here")
     p.add_argument(
         "--format",
         choices=("json", "text"),
         help="format of the --hypergraph file: json (the default) or text",
     )
-    _add_common(p)
-    p.set_defaults(func=cmd_boxfree)
+    p = _operation(ops, "verify", cmd_boxfree_verify, "check that a stored hypergraph is box-free")
+    p.add_argument("--hypergraph-in", required=True, help="hypergraph JSON or text file")
 
-    p = sub.add_parser("tensor", help="generate and inspect tensors")
-    p.add_argument("operation", choices=("random", "show"))
-    _add_tensor_source(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_tensor)
+    ops = operations("tensor", "generate and inspect tensors")
+    p = _operation(ops, "random", cmd_tensor_random, "a seeded random map", cap=False)
+    _ints(p, "q n d m")
+    p.add_argument("--kind", choices=("hom", "alt"), default="hom", help="default hom")
+    p.add_argument("--seed", type=int, default=0, help="splitmix64 seed (default 0)")
+    p.add_argument("--r", type=int, default=1, help="over the degree-r extension (default 1)")
+    p = _operation(ops, "show", cmd_tensor_show, "shape and kind of a tensor file", cap=False)
+    p.add_argument("--tensor", required=True, help="tensor JSON file")
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p = _operation(commands, "selftest", cmd_selftest, "run the acceptance suite", cap=False)
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    _add_common(p)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for path in (args.out, getattr(args, "hypergraph", None)):
             _check_writable(path)
         return args.func(args)

@@ -97,7 +97,7 @@ def test_isotropy_alt(capsys, schema):
     code, doc = run_cli(
         capsys,
         "isotropy", "alt",
-        "--q", "2", "--n", "4", "--d", "2", "--m", "1", "--kind", "alt", "--seed", "9",
+        "--q", "2", "--n", "4", "--d", "2", "--m", "1", "--seed", "9",
     )
     assert code == 0
     assert doc["exhausted"] is True
@@ -278,6 +278,28 @@ def test_conflicting_tensor_flags_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, params", [
+    ("isotropy alt --tensor ALT.json", {"tensor": "ALT.json", "r": 1}),
+    ("isotropy hom --tensor HOM.json --k 1", {"tensor": "HOM.json", "k": 1, "r": 1}),
+    ("isotropy planes --tensor HOM.json --r 2", {"tensor": "HOM.json", "r": 2}),
+    ("rank zeros --tensor HOM.json", {"tensor": "HOM.json", "r": 1}),
+    ("rank ar --tensor HOM.json", {"tensor": "HOM.json", "r": 1}),
+])
+def test_tensor_file_params_name_no_seed(capsys, monkeypatch, tmp_path, argv, params):
+    # a map read from --tensor was generated by no seed of this run
+    monkeypatch.chdir(tmp_path)
+    write_input_files(tmp_path)
+    capsys.readouterr()
+    code, doc = run_cli(capsys, *argv.split())
+    assert code == 0 and doc["params"] == params
+
+
+def test_formula_params_record_a_zero_value(capsys):
+    code, doc = run_cli(capsys, "formula", "box-exponent", "--n", "3", "--d", "2", "--m", "0")
+    assert code == 0
+    assert doc["params"] == {"n": 3, "d": 2, "m": 0}
+
+
 @pytest.mark.parametrize("q, bad", [(2, 2), (4, 5)])
 def test_tensor_coefficient_outside_the_field_rejected(capsys, tmp_path, q, bad):
     # Over F_2 the coefficient 2 made the zero map read as index 2 instead
@@ -440,19 +462,19 @@ PINNED_DOCUMENTS = {
     "isotropy alt --q 2 --n 4 --d 2 --m 1 --seed 9":
         "f2a22c174f7ecebb800f5bf029f6ff93695b1096e2595b794dde930ca263d467",
     "isotropy alt --tensor ALT.json":
-        "9146b2f453aa1abad28a1ae01ac4223ad383f0f887c1f9fbe2ee4d6711d89b5f",
+        "5a851179acb2d890ed9e4e4647d138750d5372e0ae97a657b040fd864928ca27",
     "isotropy field-min --q 2 --n 3 --d 2 --m 1":
-        "5a03fa2ba28228acd5e1af5d249912d9d46e8096504b1ec2a621b10dc2c5f46f",
+        "1683769c50549bed42a860ce828fab96de3a3510fe42480784141223a2ed82b0",
     "isotropy field-min --q 2 --n 3 --d 2 --m 1 --samples 5 --seed 2":
-        "d4b4d45cdd0e5813752d15cb25f12456673af2c0b2d1ee1da2b004a99f38ccd5",
+        "835fbf4d4215b934ffe70663ac1cf3e68eecd3026fdd75df50e0e13e5d404f5e",
     "isotropy incidence-alt --q 2 --n 3 --d 2 --m 1 --k 1 --raw":
-        "ae0196ada813381b650a74e005b146372fc63c6ab80f7826e9fe0a295b372da5",
+        "359e3ec089a56274fa77896d4df0e371adb2a18011dae053124d44d34c07124e",
     "isotropy incidence-hom --q 2 --n 3 --d 2 --m 1":
-        "37af2885f1623e338aac0863622391f2cdeb08910542a4702666c118906f8574",
+        "6cf0a9217b22bf45b7e5fbf2681ad7b33ce85270c0b1fdbf5ac37fa3b4b50957",
     "rank zeros --q 3 --n 2 --d 2 --m 1 --seed 4":
         "361eff7dad05225fc5ea018d64d91f3ca4ed7a854aff884003da25b714f7b7fa",
     "rank ar --tensor HOM.json":
-        "bce238d3b05969829a4919ed5ccfd93515c8cd251f1a578b4250bffce0501465",
+        "a53d74a0cc44196e2d2951f0fb87448f495fc6543d60bdcd9ad22fe8bb69653b",
     "grassmann count --q 3 --n 4 --k 2":
         "caf98bc10e58464c7d7e048f24a4390920b38942008ec50e0147d93c462c267f",
     "grassmann enum --q 2 --n 3 --k 2":
@@ -502,7 +524,7 @@ def test_cli_documents_are_pinned(capsys, monkeypatch, tmp_path, argv):
 
 
 # One small valid invocation per subcommand and operation.  FREE.json is a
-# box-free hypergraph the sweep writes first.
+# box-free hypergraph and T.json a tensor; the sweep writes both first.
 VALID = {
     "formula alpha-bound": "--n 5 --d 2 --m 2",
     "formula alpha-alt": "--n 5 --d 2 --m 2",
@@ -511,7 +533,7 @@ VALID = {
     "formula gq": "--n 5 --d 2",
     "formula iso2": "--n 5 --d 2 --m 2",
     "formula box-exponent": "--n 3 --d 2 --m 1",
-    "isotropy alt": "--q 2 --n 3 --d 2 --m 1 --kind alt",
+    "isotropy alt": "--q 2 --n 3 --d 2 --m 1",
     "isotropy hom": "--q 2 --n 3 --d 2 --m 1 --k 1",
     "isotropy field-min": "--q 2 --n 3 --d 2 --m 1",
     "isotropy incidence-alt": "--q 2 --n 3 --d 2 --m 1 --k 1",
@@ -525,9 +547,9 @@ VALID = {
     "boxfree gen": "--q 2 --n 3 --d 2 --m 1",
     "boxfree verify": "--hypergraph-in FREE.json",
     "tensor random": "--q 2 --n 2 --d 2 --m 1",
-    "tensor show": "--q 2 --n 2 --d 2 --m 1",
+    "tensor show": "--tensor T.json",
 }
-# the same operations reading a file that does not exist
+# every operation that reads an input file, reading one that does not exist
 MISSING_FILE = {
     "isotropy alt": "--tensor missing.json",
     "isotropy hom": "--tensor missing.json --k 1",
@@ -537,30 +559,24 @@ MISSING_FILE = {
     "tensor show": "--tensor missing.json",
     "boxfree verify": "--hypergraph-in missing.json",
 }
-# operations whose parser takes an input file but which generate their
-# input -> that input flag, which they refuse
-GENERATES = {
-    "boxfree gen": "--hypergraph-in FREE.json",
-    "isotropy field-min": "--tensor FREE.json",
-    "isotropy incidence-alt": "--tensor FREE.json",
-    "isotropy incidence-hom": "--tensor FREE.json",
-    "tensor random": "--tensor FREE.json",
-}
+def _subparsers(parser):
+    """The subcommands of ``parser`` by name."""
+    return {
+        name: sub
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name, sub in action.choices.items()
+    }
 
 
 def _operations():
     """Each 'command operation' of the parser (selftest has no operation),
-    with the options its subcommand takes."""
-    out = {}
-    (commands,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    for command, sub in commands.choices.items():
-        positional = [a for a in sub._actions if not a.option_strings and a.choices]
-        options = {o for a in sub._actions for o in a.option_strings}
-        for op in positional[0].choices if positional else ():
-            out[f"{command} {op}"] = options
-    return out
+    with the options that operation takes."""
+    return {
+        f"{command} {op}": {o for a in sub._actions for o in a.option_strings}
+        for command, parser in _subparsers(build_parser()).items()
+        for op, sub in _subparsers(parser).items()
+    }
 
 
 OPERATIONS = _operations()
@@ -571,7 +587,7 @@ def test_sweep_covers_every_operation():
     assert set(VALID) == set(OPERATIONS)
     inputs = {"--tensor", "--hypergraph-in"}
     readers = {op for op, options in OPERATIONS.items() if options & inputs}
-    assert set(MISSING_FILE) == readers - set(GENERATES)
+    assert set(MISSING_FILE) == readers
 
 
 def _exit_code(argv):
@@ -586,13 +602,13 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     monkeypatch.chdir(tmp_path)
     free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
     (tmp_path / "FREE.json").write_text(json.dumps(free))
+    assert main("tensor random --q 2 --n 2 --d 2 --m 1 --out T.json".split()) == 0
     assert _exit_code((op + " " + VALID[op]).split()) == 0
+    assert _exit_code((op + " --help").split()) == 0
     capsys.readouterr()
     cases = [op, op + " " + VALID[op] + " --out nodir/out.json"]
     if op in MISSING_FILE:
         cases.append(op + " " + MISSING_FILE[op])
-    if op in GENERATES:
-        cases.append(op + " " + VALID[op] + " " + GENERATES[op])
     for argv in cases:
         assert _exit_code(argv.split()) == 2, argv
         captured = capsys.readouterr()
@@ -619,10 +635,9 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --hypergraph nodir/h.json",
                  id="hypergraph-out-in-missing-dir"),
     pytest.param("grassmann strata --q 2 --n 3 --k 2 --format csv --l 1", id="csv-with-l"),
-    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --k 2", id="alt-with-k"),
-    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --samples 3",
-                 id="alt-with-samples"),
-    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --raw", id="alt-with-raw"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --k 2", id="alt-with-k"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --samples 3", id="alt-with-samples"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --raw", id="alt-with-raw"),
     pytest.param("isotropy planes --q 2 --n 3 --d 2 --m 1 --k 1", id="planes-with-k"),
     pytest.param("isotropy incidence-hom --q 2 --n 3 --d 2 --m 1 --k 1",
                  id="incidence-hom-with-k"),
@@ -655,6 +670,19 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("boxfree gen --q 2 --n 3 --d 2 --m 1 --format text",
                  id="gen-format-without-hypergraph"),
     pytest.param("tensor random --q 2 --n 2 --d 2 --m 1 --r 0", id="tensor-random-r-0"),
+    pytest.param("rank ar --q 2 --n 2 --d 2 --m 1 --method raw", id="ar-with-method"),
+    pytest.param("formula gq --n 5 --d 2 --m 3", id="gq-with-m"),
+    pytest.param("formula gq --n 5 --d 2 --char-zero", id="gq-with-char-zero"),
+    pytest.param("formula gq --n 5 --d 2 --cap 7", id="formula-with-cap"),
+    pytest.param("selftest --cap 5", id="selftest-with-cap"),
+    pytest.param("grassmann count --q 2 --n 3 --k 1 --cap 1", id="count-with-cap"),
+    pytest.param("tensor random --q 2 --n 2 --d 2 --m 1 --cap 9", id="tensor-random-with-cap"),
+    pytest.param("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt", id="alt-with-kind-alt"),
+    pytest.param("isotropy hom --q 2 --n 3 --d 2 --m 1 --k 1 --kind hom",
+                 id="hom-with-kind-hom"),
+    pytest.param("tensor show --q 2 --n 2 --d 2 --m 1", id="tensor-show-generating"),
+    pytest.param("tensor show --tensor T.json --r 2", id="tensor-show-with-r"),
+    pytest.param("isotropy", id="isotropy-without-operation"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -675,7 +703,7 @@ def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
      "multilin.boxfree.box_pipeline"),
     ("boxfree gen --q 2 --n 3 --d 2 --m 1 --out nodir/out.json",
      "multilin.boxfree.box_pipeline"),
-    ("isotropy alt --q 2 --n 3 --d 2 --m 1 --kind alt --out nodir/out.json",
+    ("isotropy alt --q 2 --n 3 --d 2 --m 1 --out nodir/out.json",
      "multilin.isotropy.alpha_alt"),
     ("isotropy field-min --q 2 --n 3 --d 2 --m 1 --out .", "multilin.isotropy.alpha_field_alt"),
     ("grassmann strata --q 2 --n 3 --k 1 --format csv --out nodir/x.csv",
