@@ -127,7 +127,8 @@ class Hypergraph:
 def hypergraph_from_text(text: str) -> Hypergraph:
     """Parse the plain edge-list format: a '# d n q m' header line, then
     one 'v1 v2 ... vd' line of vertex indices per edge.  Parts are the
-    canonical projective points of P^n(F_q)."""
+    canonical projective points of P^n(F_q); ``Hypergraph.from_dict``
+    checks d and the edges."""
     from .field import field_of_order
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -135,21 +136,13 @@ def hypergraph_from_text(text: str) -> Hypergraph:
         raise PreconditionError("missing '# d n q m' header line")
     try:
         d, n, q, m = (int(tok) for tok in lines[0][1:].split())
+        edges = [[int(tok) for tok in ln.split()] for ln in lines[1:]]
     except ValueError as exc:
-        raise PreconditionError(f"malformed header {lines[0]!r}") from exc
-    if d < 1 or n < 0:
-        raise PreconditionError(f"need d >= 1 and n >= 0 in header {lines[0]!r}")
-    points = tuple(projective_points(field_of_order(q), n + 1))
-    edges = set()
-    for ln in lines[1:]:
-        try:
-            edge = tuple(int(tok) for tok in ln.split())
-        except ValueError:
-            raise PreconditionError(f"non-integer vertex in edge line {ln!r}") from None
-        if len(edge) != d or any(not 0 <= i < len(points) for i in edge):
-            raise PreconditionError(f"bad edge line {ln!r}")
-        edges.add(edge)
-    return Hypergraph(d=d, parts=(points,) * d, edges=frozenset(edges))
+        raise PreconditionError(f"malformed header or edge line: {exc}") from None
+    if n < 0:
+        raise PreconditionError(f"need n >= 0 in header {lines[0]!r}")
+    points = projective_points(field_of_order(q), n + 1)
+    return Hypergraph.from_dict({"d": d, "parts": [points] * d, "edges": edges})
 
 
 def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
@@ -521,12 +514,11 @@ def box_pipeline(
     m: int,
     seed: int = 0,
     max_trials: int = 512,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
     cap: int = DEFAULT_CAP,
 ) -> PipelineResult:
     """Full construction: search a sparse map, build the hypergraph, check
     the edge lower bound, delete annihilated products, verify freeness."""
-    T, info = pigeonhole_search(field, n, d, m, seed, max_trials, tensor_cap, cap)
+    T, info = pigeonhole_search(field, n, d, m, seed, max_trials, cap=cap)
     H = build_hypergraph(T, cap)
     bound = edge_lower_bound(T, H, cap)
     tuples = isotropic_plane_tuples(T, cap)

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from . import acceptance, boxfree, formulas, grassmann, isotropy, rank
 from .errors import DEFAULT_CAP, CapExceededError, InvariantViolation, PreconditionError
 from .field import field_make, field_of_order
-from .tensor import base_change, random_tensor, tensor_from_dict
+from .tensor import KINDS, base_change, random_tensor, tensor_from_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,29 +109,26 @@ def _write(path: str | None, text: str) -> None:
         raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _load_tensor(args, kind=None):
-    """The map an operation reads, over the degree-r extension of its field
-    (r from --r), and the params that name it.  The map is the --tensor
-    file, or is generated from --q --n --d --m --seed and, where the
-    operation takes any kind, --kind; those flags parse to None so that
-    they can be refused next to --tensor."""
-    given = {name: getattr(args, name, None) for name in ("q", "n", "d", "m", "seed", "kind")}
+def _load_tensor(args, kind: str):
+    """The map of the given kind an operation reads, over the degree-r
+    extension of its field (r from --r), and the params that name it.  The
+    map is the --tensor file, or is generated from --q --n --d --m --seed;
+    those flags parse to None so that they can be refused next to
+    --tensor."""
+    given = _params(args, "q n d m seed")
     if args.tensor:
         if any(value is not None for value in given.values()):
             raise PreconditionError("give either --tensor or generation parameters, not both")
         T = tensor_from_dict(_read_json(args.tensor))
+        if T.kind != kind:
+            raise PreconditionError(f"this operation needs a {kind!r} tensor, got {T.kind!r}")
         params = {"tensor": args.tensor}
     else:
         for name in ("q", "n", "d", "m"):
             if given[name] is None:
                 raise PreconditionError(f"--{name} is required")
-        params = {**_params(args, "q n d m"), "seed": given["seed"] or 0}
-        F = field_of_order(args.q)
-        T = random_tensor(
-            F, args.n, args.d, args.m, kind or given["kind"] or "hom", params["seed"]
-        )
-    if kind and T.kind != kind:
-        raise PreconditionError(f"this operation needs a {kind!r} tensor, got {T.kind!r}")
+        params = {**given, "seed": given["seed"] or 0}
+        T = random_tensor(field_of_order(args.q), args.n, args.d, args.m, kind, params["seed"])
     return _extend(T, args.r), {**params, "r": args.r}
 
 
@@ -142,6 +139,17 @@ def _extend(T, r: int):
     if r > 1:
         T = base_change(T, field_make(T.field.p, T.field.e * r))
     return T
+
+
+def _decimal(count: int) -> str:
+    """``str(count)``; a count past the interpreter's int-to-str limit (4300
+    digits by default; it also guards the JSON reader) is a precondition
+    error."""
+    try:
+        return str(count)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"count has over {limit} digits, the int-to-str limit") from None
 
 
 def _emit(args, params: dict, payload: dict) -> int:
@@ -215,7 +223,7 @@ def cmd_isotropy_hom(args) -> int:
 
 def cmd_isotropy_planes(args) -> int:
     cap = _cap(args)
-    T, params = _load_tensor(args)
+    T, params = _load_tensor(args, "hom")
     tuples = isotropy.isotropic_plane_tuples(T, cap)
     payload = {"count": str(len(tuples)), "tuples": [[V.to_dict() for V in tup] for tup in tuples]}
     return _emit(args, params, payload)
@@ -247,9 +255,9 @@ def cmd_isotropy_incidence(args) -> int:
     params = _params(args, flags)
     F = field_of_order(args.q)
     shape = list(params.values())[1:]  # the flags after --q
-    payload = {"count": str(count(F, *shape))}
+    payload = {"count": _decimal(count(F, *shape))}
     if args.raw:
-        payload["raw_count"] = str(count_raw(F, *shape, cap))
+        payload["raw_count"] = _decimal(count_raw(F, *shape, cap))
     return _emit(args, params, payload)
 
 
@@ -273,7 +281,7 @@ def cmd_rank_ar(args) -> int:
 def cmd_grassmann_count(args) -> int:
     field_of_order(args.q)  # q must be a prime power
     count = grassmann.gauss_binom(args.n, args.k, args.q)
-    return _emit(args, _params(args, "q n k"), {"count": str(count)})
+    return _emit(args, _params(args, "q n k"), {"count": _decimal(count)})
 
 
 def cmd_grassmann_enum(args) -> int:
@@ -469,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     _tensor_source(ops, "alt", cmd_isotropy_alt, "isotropy index of an alternating map")
     p = _tensor_source(ops, "hom", cmd_isotropy_hom, "a k-subspace tuple a map annihilates")
     _ints(p, "k")
-    p = _tensor_source(ops, "planes", cmd_isotropy_planes, "every plane tuple a map annihilates")
-    p.add_argument("--kind", choices=("hom", "alt"), help="kind of a generated map (default hom)")
+    _tensor_source(ops, "planes", cmd_isotropy_planes, "every plane tuple a map annihilates")
     p = _operation(ops, "field-min", cmd_isotropy_field_min, "least isotropy index over F_q")
     _ints(p, "q n d m")
     p.add_argument("--samples", type=int, help="sample this many maps instead of scanning all")
@@ -519,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     ops = operations("tensor", "generate and inspect tensors")
     p = _operation(ops, "random", cmd_tensor_random, "a seeded random map", cap=False)
     _ints(p, "q n d m")
-    p.add_argument("--kind", choices=("hom", "alt"), default="hom", help="default hom")
+    p.add_argument("--kind", choices=tuple(KINDS), default="hom", help="default hom")
     p.add_argument("--seed", type=int, default=0, help="splitmix64 seed (default 0)")
     p.add_argument("--r", type=int, default=1, help="over the degree-r extension (default 1)")
     p = _operation(ops, "show", cmd_tensor_show, "shape and kind of a tensor file", cap=False)

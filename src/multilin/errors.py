@@ -39,8 +39,12 @@ DEFAULT_CAP = 10_000_000
 
 def check_cap(required, cap, what):
     if required > cap:
+        try:
+            needs = str(required)
+        except ValueError:  # more digits than the int-to-str limit
+            needs = f"over 2^{required.bit_length() - 1}"
         raise CapExceededError(
-            f"{what} needs {required} enumeration steps, cap is {cap}",
+            f"{what} needs {needs} enumeration steps, cap is {cap}",
             required=required,
             cap=cap,
         )

@@ -21,6 +21,10 @@ elements go through one kernel per field, built on first use
 (:meth:`Field.row_ops`) on the same arrays: a single ``% p`` per entry for
 prime fields, the log arrays with XOR or Zech addition otherwise.
 
+A characteristic p, degree e or order q from outside is checked before
+any work that grows with it, in one function for p and e; orders above
+``ORDER_CAP`` (2^20) are refused.
+
 All operations are pure; a Field is immutable after construction and safe
 to share between threads.
 """
@@ -162,6 +166,21 @@ def _is_irreducible(poly, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(p, e) -> None:
+    """Reject a characteristic p or degree e that is not an integer, p
+    outside 2..ORDER_CAP or not prime, e < 1 and p^e above ORDER_CAP.
+    The bounds come before the primality test and the power, so no input
+    starts unbounded work: p >= 2, so p^e exceeds the cap once 2^e does."""
+    if type(p) is not int or type(e) is not int:
+        raise PreconditionError(f"p and e must be integers, got {p!r} and {e!r}")
+    if not 2 <= p <= ORDER_CAP or not is_prime(p):
+        raise PreconditionError(f"characteristic {p} is not a prime in 2..{ORDER_CAP}")
+    if e < 1:
+        raise PreconditionError(f"extension degree must be >= 1, got {e}")
+    if e >= ORDER_CAP.bit_length() or p**e > ORDER_CAP:
+        raise PreconditionError(f"field order {p}^{e} exceeds scope cap {ORDER_CAP}")
+
+
 class Field:
     """The field F_{p^e} with an explicit monic irreducible modulus.
 
@@ -185,13 +204,11 @@ class Field:
     )
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise PreconditionError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise PreconditionError(f"extension degree must be >= 1, got {e}")
+        _check_order(p, e)
         q = p**e
-        if q > ORDER_CAP:
-            raise PreconditionError(f"field order {q} exceeds scope cap {ORDER_CAP}")
+        modulus = tuple(modulus)
+        if any(type(c) is not int for c in modulus):
+            raise PreconditionError(f"modulus entries must be integers, got {list(modulus)!r}")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise PreconditionError("modulus must be monic of degree e")
@@ -357,14 +374,6 @@ class Field:
 
     # -- hot-path accessors ----------------------------------------------------
 
-    def mul_func(self):
-        """Two-argument multiply closure bound to the field's arithmetic."""
-        if self.e == 1:
-            p = self.p
-            return lambda a, b: (a * b) % p
-        log, alog, _ = self._tables()
-        return lambda a, b: alog[log[a] + log[b]]
-
     def add_func(self):
         """Two-argument add closure bound to the field's arithmetic."""
         if self.e == 1:
@@ -437,12 +446,7 @@ def field_make(p: int, e: int = 1) -> Field:
     """Field of order p^e with the lexicographically smallest monic
     irreducible modulus (coefficients compared low-degree first), so all
     downstream counts are bit-reproducible without a polynomial table."""
-    if not is_prime(p):
-        raise PreconditionError(f"characteristic {p} is not prime")
-    if e < 1:
-        raise PreconditionError(f"extension degree must be >= 1, got {e}")
-    if p**e > ORDER_CAP:
-        raise PreconditionError(f"field order {p**e} exceeds scope cap {ORDER_CAP}")
+    _check_order(p, e)
     if e == 1:
         return Field(p, 1, (0, 1))
     # a zero constant term makes x a factor, so c_0 starts at 1
@@ -455,13 +459,9 @@ def field_make(p: int, e: int = 1) -> Field:
 
 def field_of_order(q: int) -> Field:
     """Canonical field with q = p^e elements; error if q is not a prime power."""
-    if q < 2:
-        raise PreconditionError(f"{q} is not a prime power")
-    p = None
-    for f in range(2, q + 1):
-        if q % f == 0:
-            p = f
-            break
+    if not 2 <= q <= ORDER_CAP:
+        raise PreconditionError(f"field order {q} is outside 2..{ORDER_CAP}")
+    p = next(f for f in range(2, q + 1) if q % f == 0)
     e = 0
     m = q
     while m % p == 0:

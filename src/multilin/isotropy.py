@@ -562,20 +562,19 @@ def alpha_field_alt(
     d: int,
     m: int,
     cap: int = DEFAULT_CAP,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
     samples: Optional[int] = None,
     seed: int = 0,
 ) -> FieldAlphaResult:
     """min over T in Alt^d(F^n, F^m) of alpha_alt(T): exact when the full
-    coefficient space fits ``tensor_cap``, otherwise a sampled upper bound
-    (requires an explicit ``samples`` count, at least one)."""
+    coefficient space fits ``DEFAULT_TENSOR_CAP``, otherwise a sampled upper
+    bound (requires an explicit ``samples`` count, at least one)."""
     check_shape(n, d, m)
     if samples is not None and samples < 1:
         raise PreconditionError(f"need samples >= 1, got {samples}")
     ncoef = m * comb(n, d)
     floor_value = min(d - 1, n)
     if samples is None:
-        check_cap(field.q**ncoef, tensor_cap, "exhaustive tensor scan")
+        check_cap(field.q**ncoef, DEFAULT_TENSOR_CAP, "exhaustive tensor scan")
         maps = itertools.product(field.elements(), repeat=ncoef)
     else:
         from .prng import SplitMix64

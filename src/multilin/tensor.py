@@ -4,7 +4,10 @@ A ``Tensor`` stores all m * n^d coefficients, index order
 (output coordinate, i_1, ..., i_d) row-major.  An ``AltTensor`` stores one
 coefficient per strictly increasing index tuple i_1 < ... < i_d (m * C(n,d)
 total), which encodes alternation exactly -- including characteristic 2,
-where mere antisymmetry would be weaker.
+where mere antisymmetry would be weaker.  Both kinds share one body (the
+field, the shape, the coefficient tuple, equality, ``zero`` and
+``to_dict``); each kind class gives only its ``kind`` and its coefficient
+count, and ``KINDS`` maps each kind name to its class.
 
 Coefficients and vector entries are field element integers (see
 :mod:`multilin.field`); vectors are tuples of length n.
@@ -105,106 +108,84 @@ def _contract_slot(field: Field, flat, m: int, n: int, d: int, v, slot: int) -> 
     return out
 
 
-class Tensor:
-    """Order-d multilinear map as a dense coefficient hypermatrix."""
+class _Map:
+    """The body both map kinds share: a field, the shape (n, d, m) and a
+    tuple of coefficients, m times the kind's count per output coordinate.
+    A kind class gives only its ``kind`` and that count, ``_per_output(n,
+    d)``; maps of different kinds never compare equal."""
 
     __slots__ = ("field", "n", "d", "m", "coeffs")
+
+    @classmethod
+    def coeff_count(cls, n: int, d: int, m: int) -> int:
+        """Number of stored coefficients of the shape, after its check."""
+        check_shape(n, d, m)
+        return m * cls._per_output(n, d)
+
+    def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
+        count = self.coeff_count(n, d, m)
+        coeffs = tuple(coeffs)
+        if len(coeffs) != count:
+            raise PreconditionError(f"expected {count} coefficients, got {len(coeffs)}")
+        self.field = field
+        self.n = n
+        self.d = d
+        self.m = m
+        self.coeffs = coeffs
+
+    @classmethod
+    def zero(cls, field: Field, n: int, d: int, m: int):
+        return cls(field, n, d, m, (0,) * cls.coeff_count(n, d, m))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and (self.field, self.n, self.d, self.m, self.coeffs)
+            == (other.field, other.n, other.d, other.m, other.coeffs)
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.d, self.m, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(q={self.field.q}, n={self.n}, d={self.d}, m={self.m})"
+
+    def to_dict(self) -> dict:
+        return {
+            "field": self.field.to_dict(),
+            "kind": self.kind,
+            "n": self.n,
+            "d": self.d,
+            "m": self.m,
+            "coeffs": list(self.coeffs),
+        }
+
+
+class Tensor(_Map):
+    """Order-d multilinear map as a dense coefficient hypermatrix."""
+
+    __slots__ = ()
 
     kind = "hom"
 
-    def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
-        check_shape(n, d, m)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != m * n**d:
-            raise PreconditionError(
-                f"expected {m * n ** d} coefficients, got {len(coeffs)}"
-            )
-        self.field = field
-        self.n = n
-        self.d = d
-        self.m = m
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, field: Field, n: int, d: int, m: int) -> "Tensor":
-        return cls(field, n, d, m, (0,) * (m * n**d))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and (self.field, self.n, self.d, self.m, self.coeffs)
-            == (other.field, other.n, other.d, other.m, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.d, self.m, self.coeffs))
-
-    def __repr__(self):
-        return f"Tensor(q={self.field.q}, n={self.n}, d={self.d}, m={self.m})"
-
-    def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "kind": "hom",
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "coeffs": list(self.coeffs),
-        }
+    _per_output = staticmethod(pow)  # n^d
 
 
-class AltTensor:
+class AltTensor(_Map):
     """Order-d alternating multilinear map on strictly increasing tuples."""
 
-    __slots__ = ("field", "n", "d", "m", "coeffs")
+    __slots__ = ()
 
     kind = "alt"
 
-    def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
-        check_shape(n, d, m)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != m * comb(n, d):
-            raise PreconditionError(
-                f"expected {m * comb(n, d)} coefficients, got {len(coeffs)}"
-            )
-        self.field = field
-        self.n = n
-        self.d = d
-        self.m = m
-        self.coeffs = coeffs
+    _per_output = staticmethod(comb)  # C(n, d)
 
-    @classmethod
-    def zero(cls, field: Field, n: int, d: int, m: int) -> "AltTensor":
-        return cls(field, n, d, m, (0,) * (m * comb(n, d)))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AltTensor)
-            and (self.field, self.n, self.d, self.m, self.coeffs)
-            == (other.field, other.n, other.d, other.m, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.d, self.m, self.coeffs))
-
-    def __repr__(self):
-        return f"AltTensor(q={self.field.q}, n={self.n}, d={self.d}, m={self.m})"
-
-    def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "kind": "alt",
-            "n": self.n,
-            "d": self.d,
-            "m": self.m,
-            "coeffs": list(self.coeffs),
-        }
+# kind -> map class, as named in documents and by the CLI's --kind
+KINDS = {cls.kind: cls for cls in (Tensor, AltTensor)}
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +323,11 @@ def random_tensor(
 ):
     """Uniform coefficients from the seeded splitmix64 stream, drawn in
     storage order.  Same seed gives a bit-identical tensor everywhere."""
-    check_shape(n, d, m)  # comb(n, d) below raises ValueError on n < 0
+    cls = KINDS.get(kind)
+    if cls is None:
+        raise PreconditionError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
     rng = SplitMix64(seed)
-    if kind == "hom":
-        count = m * n**d
-        cls = Tensor
-    elif kind == "alt":
-        count = m * comb(n, d)
-        cls = AltTensor
-    else:
-        raise PreconditionError(f"kind must be 'hom' or 'alt', got {kind!r}")
-    coeffs = tuple(rng.below(field.q) for _ in range(count))
+    coeffs = tuple(rng.below(field.q) for _ in range(cls.coeff_count(n, d, m)))
     return cls(field, n, d, m, coeffs)
 
 
@@ -361,7 +336,7 @@ def tensor_from_dict(data: dict) -> "Tensor | AltTensor":
     coefficients that are not field elements, integers in range(q)."""
     try:
         field = Field.from_dict(data["field"])
-        cls = {"hom": Tensor, "alt": AltTensor}.get(data.get("kind"))
+        cls = KINDS.get(data.get("kind"))
         n, d, m, coeffs = data["n"], data["d"], data["m"], list(data["coeffs"])
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed tensor document: {exc!r}") from exc

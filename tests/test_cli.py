@@ -91,6 +91,9 @@ def test_grassmann_cap_exit_code(capsys):
         ["grassmann", "enum", "--q", "4", "--n", "9", "--k", "4", "--cap", "100"]
     )
     assert code == 3
+    # a step count past the int-to-str limit is still a cap error, not a traceback
+    assert main("grassmann enum --q 2 --n 300 --k 150".split()) == 3
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_isotropy_alt(capsys, schema):
@@ -683,11 +686,22 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("tensor show --q 2 --n 2 --d 2 --m 1", id="tensor-show-generating"),
     pytest.param("tensor show --tensor T.json --r 2", id="tensor-show-with-r"),
     pytest.param("isotropy", id="isotropy-without-operation"),
+    pytest.param("grassmann count --q 1000000007 --n 2 --k 1", id="count-q-above-order-cap"),
+    pytest.param("tensor random --q 3 --n 1 --d 1 --m 1 --r 3000000",
+                 id="tensor-random-huge-r"),
+    pytest.param("isotropy planes --q 2 --n 3 --d 2 --m 1 --kind alt", id="planes-with-kind"),
+    pytest.param("boxfree verify --hypergraph-in bigq.txt", id="hypergraph-text-q-above-cap"),
+    pytest.param("grassmann count --q 2 --n 300 --k 150", id="count-over-digit-limit"),
+    pytest.param("isotropy incidence-alt --q 2 --n 40 --d 3 --m 2 --k 1",
+                 id="incidence-alt-over-digit-limit"),
+    pytest.param("isotropy incidence-hom --q 2 --n 30 --d 3 --m 1",
+                 id="incidence-hom-over-digit-limit"),
 ])
-def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, argv):
+def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, deadline, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "notjson.json").write_text("{not json")
     (tmp_path / "badtoken.txt").write_text("# 2 2 2 1\n0 x\n")
+    (tmp_path / "bigq.txt").write_text("# 2 2 1000000007 1\n")
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
     free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
     (tmp_path / "FREE.json").write_text(json.dumps(free))

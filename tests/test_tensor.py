@@ -239,9 +239,13 @@ def test_serialization_roundtrip():
         ("m", None),
         ("n", KeyError),  # missing key
         ("field", KeyError),
+        ("field", {"p": 2305843009213693951, "e": 1, "modulus": [0, 1]}),  # 2^61 - 1
+        ("field", {"p": 2, "e": 3000000, "modulus": [0, 1]}),
+        ("field", {"p": 3.0, "e": 1, "modulus": [0, 1]}),
+        ("field", {"p": 2, "e": 1, "modulus": [0.0, 1]}),
     ],
 )
-def test_from_dict_rejects_bad_documents(key, value):
+def test_from_dict_rejects_bad_documents(deadline, key, value):
     data = random_tensor(F2, 3, 2, 1, "alt", seed=1).to_dict()
     if value is KeyError:
         del data[key]
@@ -249,6 +253,22 @@ def test_from_dict_rejects_bad_documents(key, value):
         data[key] = value
     with pytest.raises(PreconditionError):
         tensor_from_dict(data)
+
+
+def test_map_kinds_share_a_body_but_stay_distinct():
+    # at d = 1 both kinds store n coefficients, so the same field, shape and
+    # coefficients make a map of either kind
+    hom, alt = Tensor(F3, 3, 1, 1, (1, 2, 0)), AltTensor(F3, 3, 1, 1, (1, 2, 0))
+    assert hom != alt and alt != hom
+    assert not isinstance(hom, AltTensor) and not isinstance(alt, Tensor)
+    for cls, kind, count in ((Tensor, "hom", 2 * 3**2), (AltTensor, "alt", 2 * 3)):
+        Z = cls.zero(F5, 3, 2, 2)
+        assert type(Z) is cls and Z.is_zero() and len(Z.coeffs) == count
+        assert repr(Z) == f"{cls.__name__}(q=5, n=3, d=2, m=2)"
+        assert Z.to_dict() == {
+            "field": F5.to_dict(), "kind": kind, "n": 3, "d": 2, "m": 2, "coeffs": [0] * count
+        }
+        assert list(Z.to_dict()) == ["field", "kind", "n", "d", "m", "coeffs"]
 
 
 @given(st.integers(min_value=0, max_value=2**63))
