@@ -10,9 +10,11 @@ annihilated plane tuples by a seeded pigeonhole scan, performs the
 deletion, and verifies freeness, recording every exact count in a
 certificate.
 
-The build is the plane-tuple slot walk of :mod:`multilin.isotropy` run
-over single points: each prefix of d - 1 points is contracted once, and
-the zero points of the last slot are read off a kernel basis.
+The parts are listed by :func:`multilin.grassmann.projective_points`,
+whose order fixes the vertex indices.  The build is the plane-tuple slot
+walk of :mod:`multilin.isotropy` run over single points: each prefix of
+d - 1 points is contracted once, and the zero points of the last slot are
+read off the kernel of the leaf's rows.
 Freeness is checked by link intersection: two part-0 vertices can only
 lie in a common box through link elements (the other d - 1 coordinates
 of an edge) they share, so the scan pairs edges with a shared tail and
@@ -41,7 +43,15 @@ from .errors import (
 )
 from .field import Field
 from .formulas import box_exponent
-from .grassmann import Subspace, gauss_binom, rref, span_points
+from .grassmann import (
+    Subspace,
+    gauss_binom,
+    gauss_binom_capped,
+    leaf_kernel,
+    projective_points,
+    rref,
+    span_points,
+)
 from .isotropy import (
     DEFAULT_TENSOR_CAP,
     _slot_walk,
@@ -51,25 +61,6 @@ from .isotropy import (
 from .prng import SplitMix64
 from .tensor import Tensor
 from .rank import zero_count
-
-
-def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
-    """Canonical representatives of P(F^dim): first nonzero coordinate one,
-    in lexicographic vector order.  A point with more leading zeros comes
-    first, and points with the same leading one are ordered by their tails,
-    so (0,)*i + (one,) + tail runs i downwards with tails in product order;
-    the cap is charged the (q^dim - 1)/(q - 1) points listed."""
-    q = field.q
-    check_cap((q**dim - 1) // (q - 1), cap, "projective point listing")
-    one = field.one
-    out = []
-    for i in range(dim - 1, -1, -1):
-        head = (0,) * i + (one,)
-        out.extend(
-            head + tail
-            for tail in itertools.product(field.elements(), repeat=dim - 1 - i)
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -161,11 +152,12 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     check_cap(npts**d, cap, "edge enumeration")
     index = {v: i for i, v in enumerate(points)}
     edges = []
-    for prefix, kernel in _slot_walk(T, [(v,) for v in points], cap):
-        if kernel is None:
+    for prefix, stack in _slot_walk(T, [(v,) for v in points], cap):
+        if stack is None:
             tails = itertools.product(range(npts), repeat=d - len(prefix))
             edges.extend(prefix + tail for tail in tails)
         else:
+            kernel = leaf_kernel(field, stack, T.n)
             tails = span_points(field, rref(field, kernel)[0])
             edges.extend(prefix + (index[v],) for v in tails)
     return Hypergraph(d=d, parts=(tuple(points),) * d, edges=frozenset(edges))
@@ -391,11 +383,15 @@ def pigeonhole_search(
         )
     n1 = n + 1
     q = field.q
+    # every trial lists the planes of F^(n+1) first: refuse them past the
+    # cap before the map space's size is formed or a map is drawn
+    gauss_binom_capped(n1, 2, q, cap)
     bound = plane_tuple_bound(field, n, d, m)
-    total = q ** (m * n1**d)
+    ncoef = m * n1**d
     rng = SplitMix64(seed)
-    if total <= tensor_cap:
-        order = rng.shuffle(list(range(total)))
+    # q^ncoef >= 2^(ncoef (bitlen(q) - 1)) rules out a huge space unformed
+    if ncoef * (q.bit_length() - 1) < tensor_cap.bit_length() and q**ncoef <= tensor_cap:
+        order = rng.shuffle(list(range(q**ncoef)))
         for trials, idx in enumerate(order, start=1):
             T = _tensor_from_index(field, n1, d, m, idx)
             count = count_plane_tuples(T, limit=bound, cap=cap)
@@ -417,7 +413,7 @@ def pigeonhole_search(
     # could beat the best, so every count that is kept is exact
     best_T = best_count = None
     for trials in range(1, max_trials + 1):
-        coeffs = tuple(rng.below(q) for _ in range(m * n1**d))
+        coeffs = tuple(rng.below(q) for _ in range(ncoef))
         T = Tensor(field, n1, d, m, coeffs)
         limit = None if best_count is None else best_count - 1
         count = count_plane_tuples(T, limit=limit, cap=cap)

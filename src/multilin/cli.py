@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -148,8 +149,12 @@ def _decimal(count: int) -> str:
     try:
         return str(count)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise PreconditionError(f"count has over {limit} digits, the int-to-str limit") from None
+        raise _over_digit_limit() from None
+
+
+def _over_digit_limit() -> PreconditionError:
+    limit = sys.get_int_max_str_digits()
+    return PreconditionError(f"count has over {limit} digits, the int-to-str limit")
 
 
 def _emit(args, params: dict, payload: dict) -> int:
@@ -280,7 +285,11 @@ def cmd_rank_ar(args) -> int:
 
 def cmd_grassmann_count(args) -> int:
     field_of_order(args.q)  # q must be a prime power
-    count = grassmann.gauss_binom(args.n, args.k, args.q)
+    n, k, limit = args.n, args.k, sys.get_int_max_str_digits()
+    # [n, k]_q >= q^(k(n-k)), so a count past the digit limit is refused unformed
+    if limit and 0 <= k <= n and k * (n - k) * math.log10(args.q) > limit:
+        raise _over_digit_limit()
+    count = grassmann.gauss_binom(n, k, args.q)
     return _emit(args, _params(args, "q n k"), {"count": _decimal(count)})
 
 

@@ -48,3 +48,13 @@ def check_cap(required, cap, what):
             required=required,
             cap=cap,
         )
+
+
+def check_cap_bits(bits, cap, what):
+    """Refuse work known to take at least 2^bits steps when that passes the
+    cap, before its exact count is formed: forming a huge count (a power
+    with a huge exponent) can itself hang."""
+    if bits >= cap.bit_length():
+        raise CapExceededError(
+            f"{what} needs at least 2^{bits} enumeration steps, cap is {cap}", cap=cap
+        )

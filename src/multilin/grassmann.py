@@ -13,11 +13,13 @@ group acts transitively on k-subspaces, so the fixed-factor count does
 not depend on the choice.  The full pair scan stays as the oracle, and
 both routes agree wherever both run.
 
-Over F_2, ``rank`` and ``kernel_basis`` run on rows packed into ints: one
-XOR elimination keeps the basis reduced and keyed by pivot bit (the M4RI
-representation of Albrecht, Bard and Hart, ACM TOMS 2010).  RREF is
-unique, so the packed route returns what the list ``rref`` would;
-``kernel_basis_by_rref`` keeps the list route callable as its oracle.
+Rows are eliminated here alone: ``leaf_form`` packs rows into ints over
+F_2, where ``leaf_rank`` and ``leaf_kernel`` run one XOR elimination that
+keeps the basis reduced and keyed by pivot bit (the M4RI representation
+of Albrecht, Bard and Hart, ACM TOMS 2010), and leaves other rows to the
+list ``rref``.  ``rank`` and ``kernel_basis`` are those on converted rows;
+RREF is unique, so ``kernel_basis_by_rref``, the list route, is their
+oracle.  ``projective_points`` lists P(F^n).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_CAP, PreconditionError, check_cap
+from .errors import DEFAULT_CAP, PreconditionError, check_cap, check_cap_bits
 from .field import Field
 
 # ---------------------------------------------------------------------------
@@ -69,21 +71,15 @@ def rref(field: Field, rows: Sequence[Sequence[int]]):
 
 
 def rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
-    """Rank of the rows; over F_2 by the packed elimination."""
-    if field.q == 2:
-        return len(gf2_basis(map(gf2_pack, rows)))
-    return len(rref(field, rows)[0])
+    """Rank of the rows."""
+    return leaf_rank(field, leaf_form(field, rows))
 
 
 def kernel_basis(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
     """Basis of {x in F^n : row . x = 0 for each row}: for each non-pivot
     column f of the RREF of the rows, the vector with a one at f, the
-    negated column f at the pivots and zeros elsewhere.  Over F_2 the RREF
-    comes from the packed elimination; RREF is unique, so both routes give
-    the same basis."""
-    if field.q == 2:
-        return gf2_kernel(gf2_basis(map(gf2_pack, rows)), n)
-    return kernel_basis_by_rref(field, rows, n)
+    negated column f at the pivots and zeros elsewhere."""
+    return leaf_kernel(field, leaf_form(field, rows), n)
 
 
 def kernel_basis_by_rref(field: Field, rows: Sequence[Sequence[int]], n: int) -> list:
@@ -103,6 +99,28 @@ def kernel_basis_by_rref(field: Field, rows: Sequence[Sequence[int]], n: int) ->
             v[pc] = row[f]
         basis.append(tuple(v))
     return basis
+
+
+def leaf_form(field: Field, rows: Sequence[Sequence[int]]) -> Sequence:
+    """The rows as :func:`leaf_rank` and :func:`leaf_kernel` read them:
+    packed ints (:func:`gf2_pack`) over F_2, the rows themselves otherwise."""
+    if field.q == 2:
+        return tuple(map(gf2_pack, rows))
+    return rows
+
+
+def leaf_rank(field: Field, form: Sequence) -> int:
+    """Rank of rows in :func:`leaf_form`."""
+    if field.q == 2:
+        return len(gf2_basis(form))
+    return len(rref(field, form)[0])
+
+
+def leaf_kernel(field: Field, form: Sequence, n: int) -> list:
+    """:func:`kernel_basis` of rows in :func:`leaf_form`."""
+    if field.q == 2:
+        return gf2_kernel(gf2_basis(form), n)
+    return kernel_basis_by_rref(field, form, n)
 
 
 # Packed F_2 rows: a row of n bits is an int whose bit n - 1 - j is column
@@ -172,6 +190,28 @@ def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
                 if c:
                     v = axpy(v, c, row)
             yield tuple(v)
+
+
+def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
+    """Canonical representatives of P(F^dim): first nonzero coordinate one,
+    in lexicographic vector order.  A point with more leading zeros comes
+    first, and points with the same leading one are ordered by their tails,
+    so (0,)*i + (one,) + tail runs i downwards with tails in product order;
+    the cap is charged the (q^dim - 1)/(q - 1) points listed, which are at
+    least q^(dim - 1)."""
+    q = field.q
+    check_cap_bits((dim - 1) * (q.bit_length() - 1), cap, "projective point listing")
+    check_cap((q**dim - 1) // (q - 1), cap, "projective point listing")
+    return list(iter_projective_points(field, dim))
+
+
+def iter_projective_points(field: Field, dim: int) -> Iterator[tuple]:
+    """:func:`projective_points` streamed, for scans that charge the cap."""
+    one = field.one
+    for i in range(dim - 1, -1, -1):
+        head = (0,) * i + (one,)
+        for tail in itertools.product(field.elements(), repeat=dim - 1 - i):
+            yield head + tail
 
 
 class Subspace:
@@ -250,13 +290,25 @@ def gauss_binom(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def gauss_binom_capped(n: int, k: int, q: int, cap: int) -> int:
+    """[n choose k]_q, the size of Gr(k, F_q^n), refused past the cap.  A
+    huge count is refused before it is formed, by the bound [n, k]_q >=
+    q^(k(n-k)) (the subspaces with pivots in the first k columns)."""
+    what = f"Gr({k}, F_{q}^{n})"
+    if 0 <= k <= n:
+        check_cap_bits(k * (n - k) * (q.bit_length() - 1), cap, what)
+    count = gauss_binom(n, k, q)
+    check_cap(count, cap, what)
+    return count
+
+
 def enumerate_grassmannian(
     field: Field, n: int, k: int, cap: int = DEFAULT_CAP
 ) -> Iterator[Subspace]:
     """Yield all k-subspaces of F^n in canonical order."""
     if not 0 <= k <= n:
         raise PreconditionError(f"need 0 <= k <= n, got k={k}, n={n}")
-    check_cap(gauss_binom(n, k, field.q), cap, f"Gr({k}, F_{field.q}^{n})")
+    gauss_binom_capped(n, k, field.q, cap)
     one = field.one
     for pivots in itertools.combinations(range(n), k):
         pivset = set(pivots)
@@ -295,7 +347,9 @@ def stratum_profile(
     method 'fixed' counts against one fixed U and multiplies by |Gr|
     (valid by transitivity); 'pairs' scans the full square, the oracle.
     """
-    total = gauss_binom(n, k, field.q)
+    if method not in ("fixed", "pairs"):
+        raise PreconditionError(f"unknown method {method!r}")
+    total = gauss_binom_capped(n, k, field.q, cap)
     lo = max(0, 2 * k - n)
     profile = {l: 0 for l in range(lo, k + 1)}
     if method == "pairs":
@@ -304,16 +358,13 @@ def stratum_profile(
         for U in subs:
             for V in subs:
                 profile[intersection_dim(U, V)] += 1
-    elif method == "fixed":
-        check_cap(total, cap, "stratum scan")
+    else:
         for V in enumerate_grassmannian(field, n, k, cap):
             # against U0 = span(e_1..e_k): dim(U0 cap V) = k - rank(V[:, k:])
             block = [row[k:] for row in V.rows]
             profile[k - rank(field, block)] += 1
         for l in profile:
             profile[l] *= total
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
     return profile
 
 

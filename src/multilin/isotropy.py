@@ -44,11 +44,11 @@ runs the first d - 1 slots over a list of subspace bases, stops at a
 prefix on which T vanishes (every later slot is then free), and reads the
 last slot off the joint kernel of the prefix's contractions instead of
 scanning it.  Contractions are memoised per tuple of basis rows, so each
-point tuple is contracted once per walk; over F_2 a (d-1)-tuple's rows
-are kept packed, and a leaf is one XOR elimination.  Listing callers
-expand the leaves into subspace tuples, the count adds their sizes from
-each leaf's rank alone, and the cap is charged one unit per node of the
-walk.
+point tuple is contracted once per walk; a (d-1)-tuple's nonzero rows are
+kept in ``grassmann.leaf_form``, and a leaf yields them stacked.  Listing
+callers expand the stack's ``leaf_kernel`` into subspace tuples, the count
+adds sizes from its ``leaf_rank`` alone, and the cap is charged one unit
+per node of the walk.
 """
 
 from __future__ import annotations
@@ -70,10 +70,11 @@ from .grassmann import (
     Subspace,
     enumerate_grassmannian,
     gauss_binom,
-    gf2_basis,
-    gf2_kernel,
-    gf2_pack,
+    iter_projective_points,
     kernel_basis,
+    leaf_form,
+    leaf_kernel,
+    leaf_rank,
     rref,
     span_points,
 )
@@ -223,11 +224,13 @@ class _AltSearch:
 
     def joint_kernel(self, partial: dict, rows: tuple) -> list:
         """Kernel of x -> T(subset, x) over all (d-1)-subsets of rows."""
-        blocks = (
-            partial[subset]
+        n = self.n
+        stack = [
+            partial[subset][o * n : (o + 1) * n]
             for subset in itertools.combinations(range(len(rows)), self.d - 1)
-        )
-        return _last_slot_kernel(self.field, blocks, self.m, self.n)
+            for o in range(self.m)
+        ]
+        return kernel_basis(self.field, stack, n)
 
     def contract(self, v: tuple) -> tuple:
         """T(v, ...), the order-d contraction, computed once per point:
@@ -353,15 +356,6 @@ def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
 # ---------------------------------------------------------------------------
 
 
-def _last_slot_kernel(field: Field, blocks, m: int, n: int) -> list:
-    """Kernel of the last slot: common kernel of the m x n matrices left
-    by contracting every other slot, one per block, stacked into rows."""
-    rows = []
-    for block in blocks:
-        rows.extend(block[o * n : (o + 1) * n] for o in range(m))
-    return kernel_basis(field, rows, n)
-
-
 def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Subspace]:
     """k-subspaces of span(basis), as subspaces of F^n."""
     dim = len(basis)
@@ -380,46 +374,29 @@ def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Sub
         yield Subspace.span(field, n, vectors)
 
 
-def _slot_walk(T: Tensor, bases: list, cap: int, nullity: bool = False) -> Iterator[tuple]:
+def _leaf_rows(field: Field, block, m: int, n: int):
+    """The nonzero rows of an m x n block, in :func:`leaf_form`."""
+    rows = (block[o * n : (o + 1) * n] for o in range(m))
+    return leaf_form(field, tuple(r for r in rows if any(r)))
+
+
+def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
     """Walk the first d - 1 slots of T over ``bases``, a list of row
-    tuples, and yield one (prefix, kernel) per leaf; ``prefix`` holds
+    tuples, and yield one (prefix, stack) per leaf; ``prefix`` holds
     indices into ``bases``, in lexicographic order.
 
     A prefix's blocks are T contracted against every choice of one row
-    from each of its bases.  ``kernel`` is None when they all vanish, so
+    from each of its bases.  ``stack`` is None when they all vanish, so
     every later slot is free; otherwise the prefix has d - 1 entries and
-    ``kernel`` is the last slot's kernel basis of the stacked blocks, or
-    with ``nullity`` only its dimension.  Blocks are memoised per tuple of
-    rows: when every row is a canonical projective point (RREF rows are)
-    there are at most P^(d-1) of them.  A (d-1)-tuple's block is kept as
-    its m rows, zero rows dropped; over F_2 they are packed ints
-    (:func:`multilin.grassmann.gf2_pack`), so a leaf stacks ints and runs
-    one XOR elimination, and a ``nullity`` leaf reads its rank without
-    building kernel vectors.  Other fields take the list kernel.  The cap
-    is charged one unit per node, the root included."""
+    ``stack`` holds the nonzero rows of its blocks in ``leaf_form``, whose
+    ``leaf_kernel`` is the last slot's kernel.  Blocks are memoised per
+    tuple of rows: when every row is a canonical projective point (RREF
+    rows are) there are at most P^(d-1) of them; a (d-1)-tuple's block is
+    kept as its leaf rows.  The cap is charged one unit per node, the root
+    included."""
     field, n, d, m = T.field, T.n, T.d, T.m
-    if field.q == 2:
-
-        def leaf_rows(block):
-            packed = (gf2_pack(block[o * n : (o + 1) * n]) for o in range(m))
-            return tuple(x for x in packed if x)
-
-        def leaf(stack):
-            basis = gf2_basis(stack)
-            return n - len(basis) if nullity else gf2_kernel(basis, n)
-
-    else:
-
-        def leaf_rows(block):
-            rows = (block[o * n : (o + 1) * n] for o in range(m))
-            return tuple(r for r in rows if any(r))
-
-        def leaf(stack):
-            basis = kernel_basis(field, stack, n)
-            return len(basis) if nullity else basis
-
     memo = {(): T.coeffs}
-    leaves = {(): leaf_rows(T.coeffs)} if d == 1 else {}
+    leaves = {(): _leaf_rows(field, T.coeffs, m, n)} if d == 1 else {}
     nodes = 0
 
     def walk(prefix, keys):
@@ -429,7 +406,7 @@ def _slot_walk(T: Tensor, bases: list, cap: int, nullity: bool = False) -> Itera
             raise CapExceededError("slot walk exceeded its cap")
         if len(prefix) == d - 1:
             stack = [r for key in keys for r in leaves[key]]
-            yield prefix, (leaf(stack) if stack else None)
+            yield prefix, stack or None
             return
         if not any(map(any, (memo[key] for key in keys))):
             yield prefix, None
@@ -441,7 +418,7 @@ def _slot_walk(T: Tensor, bases: list, cap: int, nullity: bool = False) -> Itera
             for key in child:
                 if key not in store:
                     block = _contract_first(field, memo[key[:-1]], m, n, order, key[-1])
-                    store[key] = leaf_rows(block) if order == 2 else block
+                    store[key] = _leaf_rows(field, block, m, n) if order == 2 else block
             yield from walk(prefix + (i,), child)
 
     return walk((), [()])
@@ -451,12 +428,13 @@ def _isotropic_tuples(T: Tensor, subs: list, k: int, cap: int) -> Iterator[tuple
     """d-tuples of k-subspaces annihilating T, in walk order; ``subs`` is
     every k-subspace.  A free leaf's tails run over ``subs`` in product
     order, a kernel leaf's last slot over the k-subspaces of its kernel."""
-    for prefix, kernel in _slot_walk(T, [V.rows for V in subs], cap):
+    for prefix, stack in _slot_walk(T, [V.rows for V in subs], cap):
         head = tuple(subs[i] for i in prefix)
-        if kernel is None:
+        if stack is None:
             for tail in itertools.product(subs, repeat=T.d - len(prefix)):
                 yield head + tail
         else:
+            kernel = leaf_kernel(T.field, stack, T.n)
             for V in _subspaces_within(T.field, T.n, kernel, k):
                 yield head + (V,)
 
@@ -486,7 +464,6 @@ def alpha_hom(T: Tensor, k: int, cap: int = DEFAULT_CAP) -> HomIsotropyResult:
     if k == 0:
         zero = Subspace.zero(field, n)
         return HomIsotropyResult(True, (zero,) * T.d, True)
-    check_cap(gauss_binom(n, k, field.q), cap, "slot candidate list")
     subs = list(enumerate_grassmannian(field, n, k, cap=cap))
     try:
         tup = next(_isotropic_tuples(T, subs, k, cap), None)
@@ -516,18 +493,17 @@ def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAUL
     """|D| for D the set of plane tuples annihilating T, without listing:
     each leaf of the slot walk adds its free tails or the [N - rank, 2]_q
     planes of its kernel, read off the leaf's rank with no kernel vector
-    built (one packed XOR elimination over F_2).  When ``limit`` is given,
-    counting stops once the count passes it, so a result above ``limit``
-    is only a lower bound."""
+    built.  When ``limit`` is given, counting stops once the count passes
+    it, so a result above ``limit`` is only a lower bound."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple counting needs a dense tensor")
     planes = list(enumerate_grassmannian(T.field, T.n, 2, cap=cap))
     count = 0
-    for prefix, dim in _slot_walk(T, [V.rows for V in planes], cap, nullity=True):
-        if dim is None:
+    for prefix, stack in _slot_walk(T, [V.rows for V in planes], cap):
+        if stack is None:
             count += len(planes) ** (T.d - len(prefix))
         else:
-            count += gauss_binom(dim, 2, T.field.q)
+            count += gauss_binom(T.n - leaf_rank(T.field, stack), 2, T.field.q)
         if limit is not None and count > limit:
             break
     return count
@@ -645,7 +621,7 @@ def count_alt_incidence_raw(
     check_cap(reps * gauss_binom(n, k, q), cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, k, cap=cap))
     count = 0
-    for coeffs in span_points(field, Subspace.full(field, ncoef).rows):
+    for coeffs in iter_projective_points(field, ncoef):
         T = AltTensor(field, n, d, m, coeffs)
         count += sum(1 for V in subs if alt_restricts_zero(T, V))
     return count
@@ -662,7 +638,7 @@ def count_hom_incidence_raw(
     check_cap(reps * gauss_binom(n, 2, q) ** d, cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, 2, cap=cap))
     count = 0
-    for coeffs in span_points(field, Subspace.full(field, ncoef).rows):
+    for coeffs in iter_projective_points(field, ncoef):
         T = Tensor(field, n, d, m, coeffs)
         count += sum(
             1

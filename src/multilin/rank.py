@@ -25,12 +25,13 @@ are counted in closed form.  Two leaves read the free slots:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import log
 
 from .errors import DEFAULT_CAP, InvariantViolation, PreconditionError, check_cap
-from .grassmann import Subspace, span_points, rank as matrix_rank
-from .tensor import Tensor, _contract_first, _contract_slot, all_vectors
+from .grassmann import projective_points, rank as matrix_rank
+from .tensor import Tensor, _contract_first, _contract_slot
 
 
 def zero_count(
@@ -72,7 +73,7 @@ def zero_count(
         return 1
     if method == "raw":
         check_cap(q ** (d * n), cap, "raw zero-set scan")
-        vectors = list(all_vectors(field, n))
+        vectors = list(itertools.product(field.elements(), repeat=n))
         count = 0
 
         def rec(flat, order):
@@ -100,14 +101,14 @@ def zero_count(
     s = len(slots)
     leaf_calls = (q**m - 1) // (q - 1) if pairs else 1
     check_cap(((nq - 1) // (q - 1)) ** s * leaf_calls, cap, "zero-set kernel scan")
-    points = list(span_points(field, Subspace.full(field, n).rows)) if s else []
+    points = projective_points(field, n, cap) if s else []
 
     if pairs:
         block = n * n
         # each canonical lambda leads with a one: start from that matrix
         combos = [
             [(o * block, c) for o, c in enumerate(lam) if c]
-            for lam in span_points(field, Subspace.full(field, m).rows)
+            for lam in projective_points(field, m, cap)
         ]
         axpy, _ = field.row_ops()
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .field import Field, embedding_map
@@ -40,11 +40,6 @@ def _signed_perms(d: int) -> tuple:
         )
         out.append((1 if inversions % 2 == 0 else -1, perm))
     return tuple(out)
-
-
-def all_vectors(field: Field, n: int) -> Iterator[tuple]:
-    """All q^n coordinate vectors, lexicographic in element order."""
-    return itertools.product(field.elements(), repeat=n)
 
 
 def _det(field: Field, rows: Sequence[Sequence[int]]) -> int:

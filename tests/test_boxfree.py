@@ -21,6 +21,7 @@ from multilin.boxfree import (
 )
 from multilin.errors import DEFAULT_CAP, CapExceededError, PreconditionError
 from multilin.field import field_make, field_of_order
+from multilin.grassmann import iter_projective_points
 from multilin.isotropy import count_plane_tuples, isotropic_plane_tuples
 from multilin.prng import SplitMix64
 from multilin.tensor import Tensor, random_tensor, tensor_eval
@@ -107,6 +108,7 @@ def test_projective_points_match_the_lexicographic_walk(q):
     F = field_of_order(q)
     for dim in range(0, 4):
         assert projective_points(F, dim) == brute_force_projective_points(F, dim)
+        assert list(iter_projective_points(F, dim)) == projective_points(F, dim)
 
 
 def test_projective_points_cap_charges_the_points():

@@ -86,7 +86,7 @@ def test_grassmann_strata_csv(capsys):
     assert sum(int(row.split(",")[1]) for row in lines[1:]) == 49
 
 
-def test_grassmann_cap_exit_code(capsys):
+def test_grassmann_cap_exit_code(capsys, deadline):
     code = main(
         ["grassmann", "enum", "--q", "4", "--n", "9", "--k", "4", "--cap", "100"]
     )
@@ -94,6 +94,22 @@ def test_grassmann_cap_exit_code(capsys):
     # a step count past the int-to-str limit is still a cap error, not a traceback
     assert main("grassmann enum --q 2 --n 300 --k 150".split()) == 3
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param("grassmann enum --q 2 --n 20000 --k 10000", id="enum-huge-grassmannian"),
+    pytest.param("grassmann strata --q 2 --n 20000 --k 10000 --l 10000",
+                 id="strata-huge-grassmannian"),
+    pytest.param("boxfree verify --hypergraph-in huge.txt", id="text-header-huge-n"),
+    pytest.param("boxfree gen --q 2 --n 1000 --d 3 --m 1", id="gen-huge-map-space"),
+])
+def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tmp_path,
+                                                        deadline, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.txt").write_text("# 2 100000000 3 1\n")
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs at least 2^" in captured.err
 
 
 def test_isotropy_alt(capsys, schema):
@@ -692,6 +708,7 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     pytest.param("isotropy planes --q 2 --n 3 --d 2 --m 1 --kind alt", id="planes-with-kind"),
     pytest.param("boxfree verify --hypergraph-in bigq.txt", id="hypergraph-text-q-above-cap"),
     pytest.param("grassmann count --q 2 --n 300 --k 150", id="count-over-digit-limit"),
+    pytest.param("grassmann count --q 2 --n 20000 --k 10000", id="count-far-over-digit-limit"),
     pytest.param("isotropy incidence-alt --q 2 --n 40 --d 3 --m 2 --k 1",
                  id="incidence-alt-over-digit-limit"),
     pytest.param("isotropy incidence-hom --q 2 --n 30 --d 3 --m 1",

@@ -14,6 +14,9 @@ from multilin.grassmann import (
     gf2_unpack,
     kernel_basis,
     kernel_basis_by_rref,
+    leaf_form,
+    leaf_kernel,
+    leaf_rank,
     rank,
     rref,
     span_points,
@@ -96,26 +99,38 @@ def test_rref_and_kernel_match_naive_elimination(case):
 
 
 @st.composite
-def f2_matrices(draw):
-    """0-16 rows over F_2^n, n in 0..12, drawn sparse, with zero rows and
-    repeats of earlier rows mixed in."""
+def sparse_matrices(draw, orders):
+    """A field of one of the given orders and 0-16 rows over F^n, n in
+    0..12, drawn sparse, with zero rows and repeats of earlier rows mixed
+    in."""
+    F = field_of_order(draw(st.sampled_from(orders)))
     n = draw(st.integers(0, 12))
-    row = st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)
+    row = st.lists(st.sampled_from((0, 0) + tuple(range(1, F.q))), min_size=n, max_size=n)
     rows = draw(st.lists(row, max_size=16))
     for _ in range(draw(st.integers(0, 3))):
         extra = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * n
         rows.insert(draw(st.integers(0, len(rows))), list(extra))
-    return n, rows[:16]
+    return F, n, rows[:16]
 
 
-@given(f2_matrices())
+@given(sparse_matrices(orders=(2,)))
 @settings(max_examples=300, deadline=None)
 def test_packed_f2_elimination_matches_the_list_route(case):
-    n, rows = case
-    F = field_of_order(2)
+    F, n, rows = case
     assert kernel_basis(F, rows, n) == kernel_basis_by_rref(F, rows, n)
     assert rank(F, rows) == len(rref(F, rows)[0]) == len(gf2_basis(map(gf2_pack, rows)))
     assert [gf2_unpack(gf2_pack(r), n) for r in rows] == [tuple(r) for r in rows]
+
+
+@given(sparse_matrices(orders=(2, 3, 4, 5)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_leaf_form_rank_and_kernel_match_the_list_route(case, data):
+    F, n, rows = case
+    # leaf rows are converted in blocks and stacked, as the slot walk does
+    cut = data.draw(st.integers(0, len(rows)))
+    form = list(leaf_form(F, rows[:cut])) + list(leaf_form(F, rows[cut:]))
+    assert leaf_rank(F, form) == len(rref(F, rows)[0])
+    assert leaf_kernel(F, form, n) == kernel_basis_by_rref(F, rows, n)
 
 
 @given(matrices(max_rows=4, max_cols=5), st.data())
