@@ -23,10 +23,13 @@ kernel is no larger than the best dimension found, k, is not expanded.
 After a frontier subtree raises k, a top-down certificate scans
 Gr(k+1, n) for an isotropic subspace, but only when that Grassmannian has
 no more subspaces than the frontier Gr(d-1, n), whose walk it would cut
-short (a closed-form rule, with no setting).  Each scanned subspace is
-one visit of the cap and is tested through the per-point memo, stopping
-at the first nonzero value.  If none is isotropic, k is the index and the
-search ends; if one is, the DFS goes on, so the witness is always the
+short (a closed-form rule, with no setting).  The scan chooses the RREF
+rows one at a time, in the enumeration's order, keeping the contractions
+of the rows chosen so far; a row outside the joint kernel of the earlier
+rows' (d-1)-subsets rules out all of its completions, and the cap is
+charged their number in one step, so each scanned subspace is still one
+visit and no subspace is built.  If none is isotropic, k is the index and
+the search ends; if one is, the DFS goes on, so the witness is always the
 DFS's first subspace of the final dimension.
 
 ``alpha_field_alt`` scans the map space in product order but searches
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional
 
 from .errors import (
@@ -64,6 +67,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
     check_cap,
+    check_cap_bits,
 )
 from .field import Field
 from .grassmann import (
@@ -173,10 +177,13 @@ class _AltSearch:
             self.best_rows = rows
         return self.best_k >= self.upper
 
-    def spend(self) -> bool:
-        """Account one subspace visit; True when the budget ran out."""
-        self.visits += 1
+    def spend(self, count: int = 1) -> bool:
+        """Account ``count`` subspace visits; True when the budget ran out.
+        A charge past the cap ends where charging one visit at a time would
+        have stopped: at cap + 1."""
+        self.visits += count
         if self.visits > self.cap:
+            self.visits = self.cap + 1
             self.exhausted = False
             return True
         return False
@@ -184,43 +191,73 @@ class _AltSearch:
     def certify(self) -> bool:
         """Top-down certificate, tried while Gr(best_k + 1, n) has no more
         subspaces than the frontier: scan it for an isotropic subspace, one
-        visit each.  If there is none, best_k is the index.  A hit lets the
-        DFS go on, except under a ceiling, where it is recorded and the next
-        dimension is tried.  True when the search is done."""
+        visit per scanned subspace.  If there is none, best_k is the index.
+        A hit lets the DFS go on, except under a ceiling, where it is
+        recorded and the next dimension is tried.  True when the search is
+        done."""
         field, n = self.field, self.n
         while gauss_binom(n, self.best_k + 1, field.q) <= self.frontier:
-            for U in enumerate_grassmannian(field, n, self.best_k + 1, cap=1 << 62):
-                if self.spend():
-                    return True
-                if self.isotropic(U.rows):
-                    break
-            else:
-                return True
+            rows = self.first_isotropic(self.best_k + 1)
+            if rows is None:
+                return True  # none is isotropic, or the budget ran out
             if self.ceiling is None:
                 return False  # the DFS goes on, to report its own first witness
-            if self.found(U.rows):
+            if self.found(rows):
                 return True
         return False
 
-    def isotropic(self, rows: tuple) -> bool:
-        """Whether T vanishes on span(rows), for canonical point rows: every
-        increasing d-tuple of rows is contracted through the per-point memo,
-        and the test stops at the first nonzero value."""
-        return all(
-            self._vanishes(self.contract(v), rows[i + 1 :], self.d - 1)
-            for i, v in enumerate(rows[: len(rows) - self.d + 1])
-        )
+    def first_isotropic(self, k: int) -> Optional[tuple]:
+        """RREF rows of the first isotropic k-subspace in
+        :func:`enumerate_grassmannian`'s order, charging one visit per
+        subspace up to and including it; None when there is none or the
+        budget ran out.  Given the pivots, each row ranges over its free
+        entries (the non-pivot columns after its pivot) in product order,
+        so the nested choice of rows is the enumeration order.  For rows R
+        spanning an isotropic subspace, span(R + [v]) is isotropic iff
+        T(S, v) = 0 for every (d-1)-subset S of R, that is, iff v lies in
+        their joint kernel; when it does not, no completion of R + [v] is
+        isotropic, and all of them are charged at once."""
+        field, n = self.field, self.n
+        for pivots in itertools.combinations(range(n), k):
+            options = []
+            for p in pivots:
+                free = [j for j in range(p + 1, n) if j not in pivots]
+                row = [0] * n
+                row[p] = field.one
+                choices = []
+                for values in itertools.product(field.elements(), repeat=len(free)):
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    choices.append(tuple(row))
+                options.append(choices)
+            # completions of a choice of row i: the subspaces that share it
+            later = [prod(map(len, options[i + 1 :])) for i in range(k)]
+            rows = self._first_completion(options, later, (), {(): self.dense})
+            if rows is not None or not self.exhausted:
+                return rows
+        return None
 
-    def _vanishes(self, block, rows: tuple, order: int) -> bool:
-        """Whether the order-``order`` contraction ``block`` is zero on
-        every increasing ``order``-tuple of ``rows``."""
-        if order == 0:
-            return not any(block)
+    def _first_completion(self, options, later, rows, partial) -> Optional[tuple]:
+        """The first isotropic completion of ``rows`` by one choice from
+        each later entry of ``options``, with ``partial`` the contractions
+        of ``rows``' subsets; None when there is none or the budget ran
+        out."""
+        i = len(rows)
+        if i == len(options):
+            return None if self.spend() else rows
         field, m, n = self.field, self.m, self.n
-        return all(
-            self._vanishes(_contract_first(field, block, m, n, order, v), rows[i + 1 :], order - 1)
-            for i, v in enumerate(rows[: len(rows) - order + 1])
-        )
+        subsets = list(itertools.combinations(range(i), self.d - 1))
+        for v in options[i]:
+            if any(any(_contract_first(field, partial[S], m, n, 1, v)) for S in subsets):
+                if self.spend(later[i]):
+                    return None
+                continue
+            found = self._first_completion(
+                options, later, rows + (v,), self.extend_partial(partial, rows, v)
+            )
+            if found is not None or not self.exhausted:
+                return found
+        return None
 
     def joint_kernel(self, partial: dict, rows: tuple) -> list:
         """Kernel of x -> T(subset, x) over all (d-1)-subsets of rows."""
@@ -543,14 +580,18 @@ def alpha_field_alt(
 ) -> FieldAlphaResult:
     """min over T in Alt^d(F^n, F^m) of alpha_alt(T): exact when the full
     coefficient space fits ``DEFAULT_TENSOR_CAP``, otherwise a sampled upper
-    bound (requires an explicit ``samples`` count, at least one)."""
+    bound (requires an explicit ``samples`` count, at least one).  Maps with
+    more than ``DEFAULT_CAP`` coefficients are refused, and so is a huge
+    space before its size is formed."""
     check_shape(n, d, m)
     if samples is not None and samples < 1:
         raise PreconditionError(f"need samples >= 1, got {samples}")
-    ncoef = m * comb(n, d)
+    ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)
     floor_value = min(d - 1, n)
     if samples is None:
-        check_cap(field.q**ncoef, DEFAULT_TENSOR_CAP, "exhaustive tensor scan")
+        what = "exhaustive tensor scan"
+        check_cap_bits(ncoef * (field.q.bit_length() - 1), DEFAULT_TENSOR_CAP, what)
+        check_cap(field.q**ncoef, DEFAULT_TENSOR_CAP, what)
         maps = itertools.product(field.elements(), repeat=ncoef)
     else:
         from .prng import SplitMix64

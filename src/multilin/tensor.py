@@ -6,8 +6,9 @@ coefficient per strictly increasing index tuple i_1 < ... < i_d (m * C(n,d)
 total), which encodes alternation exactly -- including characteristic 2,
 where mere antisymmetry would be weaker.  Both kinds share one body (the
 field, the shape, the coefficient tuple, equality, ``zero`` and
-``to_dict``); each kind class gives only its ``kind`` and its coefficient
-count, and ``KINDS`` maps each kind name to its class.
+``to_dict``); each kind class gives only its ``kind``, its coefficient
+count and a lower bound on it, and ``KINDS`` maps each kind name to its
+class.
 
 Coefficients and vector entries are field element integers (see
 :mod:`multilin.field`); vectors are tuples of length n.
@@ -20,7 +21,7 @@ import itertools
 from math import comb
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import DEFAULT_CAP, PreconditionError, check_cap, check_cap_bits
 from .field import Field, embedding_map
 from .prng import SplitMix64
 
@@ -106,8 +107,9 @@ def _contract_slot(field: Field, flat, m: int, n: int, d: int, v, slot: int) -> 
 class _Map:
     """The body both map kinds share: a field, the shape (n, d, m) and a
     tuple of coefficients, m times the kind's count per output coordinate.
-    A kind class gives only its ``kind`` and that count, ``_per_output(n,
-    d)``; maps of different kinds never compare equal."""
+    A kind class gives only its ``kind``, that count, ``_per_output(n,
+    d)``, and ``_base(n, d)``, a b with b^d no more than the count; maps of
+    different kinds never compare equal."""
 
     __slots__ = ("field", "n", "d", "m", "coeffs")
 
@@ -116,6 +118,20 @@ class _Map:
         """Number of stored coefficients of the shape, after its check."""
         check_shape(n, d, m)
         return m * cls._per_output(n, d)
+
+    @classmethod
+    def coeff_count_capped(cls, n: int, d: int, m: int, cap: int) -> int:
+        """:meth:`coeff_count`, refused past the cap.  A huge count is
+        refused before it is formed, by the lower bound m * b^d, b the
+        kind's ``_base(n, d)``."""
+        check_shape(n, d, m)
+        what = f"{cls.kind} map (F^{n})^{d} -> F^{m}"
+        base = cls._base(n, d)
+        if base:
+            check_cap_bits(d * (base.bit_length() - 1) + m.bit_length() - 1, cap, what)
+        count = cls.coeff_count(n, d, m)
+        check_cap(count, cap, what)
+        return count
 
     def __init__(self, field: Field, n: int, d: int, m: int, coeffs: Sequence[int]):
         count = self.coeff_count(n, d, m)
@@ -168,6 +184,10 @@ class Tensor(_Map):
 
     _per_output = staticmethod(pow)  # n^d
 
+    @staticmethod
+    def _base(n: int, d: int) -> int:
+        return n  # n^d
+
 
 class AltTensor(_Map):
     """Order-d alternating multilinear map on strictly increasing tuples."""
@@ -177,6 +197,10 @@ class AltTensor(_Map):
     kind = "alt"
 
     _per_output = staticmethod(comb)  # C(n, d)
+
+    @staticmethod
+    def _base(n: int, d: int) -> int:
+        return n // d  # C(n, d) >= (n / d)^d when n >= d, and is 0 below
 
 
 # kind -> map class, as named in documents and by the CLI's --kind
@@ -317,12 +341,15 @@ def random_tensor(
     field: Field, n: int, d: int, m: int, kind: str = "hom", seed: int = 0
 ):
     """Uniform coefficients from the seeded splitmix64 stream, drawn in
-    storage order.  Same seed gives a bit-identical tensor everywhere."""
+    storage order.  Same seed gives a bit-identical tensor everywhere.  A
+    shape with more than ``DEFAULT_CAP`` coefficients is refused before
+    any is drawn."""
     cls = KINDS.get(kind)
     if cls is None:
         raise PreconditionError(f"kind must be one of {sorted(KINDS)}, got {kind!r}")
+    count = cls.coeff_count_capped(n, d, m, DEFAULT_CAP)
     rng = SplitMix64(seed)
-    coeffs = tuple(rng.below(field.q) for _ in range(cls.coeff_count(n, d, m)))
+    coeffs = tuple(rng.below(field.q) for _ in range(count))
     return cls(field, n, d, m, coeffs)
 
 

@@ -102,6 +102,11 @@ def test_grassmann_cap_exit_code(capsys, deadline):
                  id="strata-huge-grassmannian"),
     pytest.param("boxfree verify --hypergraph-in huge.txt", id="text-header-huge-n"),
     pytest.param("boxfree gen --q 2 --n 1000 --d 3 --m 1", id="gen-huge-map-space"),
+    pytest.param("isotropy planes --q 2 --n 100000 --d 3 --m 1", id="planes-huge-map"),
+    pytest.param("tensor random --q 2 --n 100000 --d 3 --m 1", id="random-huge-map"),
+    pytest.param("isotropy alt --q 2 --n 3000 --d 3 --m 1", id="alt-huge-map"),
+    pytest.param("isotropy field-min --q 2 --n 3000 --d 3 --m 1", id="field-min-huge-maps"),
+    pytest.param("isotropy field-min --q 2 --n 60 --d 3 --m 1", id="field-min-huge-space"),
 ])
 def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tmp_path,
                                                         deadline, argv):

@@ -152,12 +152,30 @@ WITNESS_PINS = {
 }
 
 
+# the same keys -> subspaces visited, the cap's unit: a capped search ends at cap + 1
+VISIT_PINS = {
+    (2, 6, 3, 1, 1, DEFAULT_CAP): 72,
+    (2, 6, 3, 1, 8, 25): 26,
+    (2, 6, 3, 2, 5, DEFAULT_CAP): 469,
+    (2, 6, 4, 1, 2, DEFAULT_CAP): 25,
+    (3, 5, 3, 2, 2, DEFAULT_CAP): 123,
+    (3, 5, 3, 2, 3, 40): 41,
+    (4, 5, 3, 2, 3, DEFAULT_CAP): 343,
+    (5, 4, 3, 2, 0, DEFAULT_CAP): 66,
+    (5, 4, 3, 2, 8, DEFAULT_CAP): 109,
+    (7, 4, 2, 1, 2, DEFAULT_CAP): 409,
+    (8, 4, 3, 1, 7, DEFAULT_CAP): 2,
+    (9, 4, 2, 1, 5, DEFAULT_CAP): 3,
+}
+
+
 @pytest.mark.parametrize("key", sorted(WITNESS_PINS))
 def test_alpha_alt_witness_pins(key):
     q, n, d, m, seed, cap = key
     T = random_tensor(field_of_order(q), n, d, m, "alt", seed=seed)
     result = alpha_alt(T, cap)
     assert (result.index, result.exhausted, result.witness[0].rows) == WITNESS_PINS[key]
+    assert result.visits == VISIT_PINS[key]
 
 
 def test_alpha_alt_cap_reports_not_exhausted():
@@ -211,13 +229,55 @@ def test_certificate_cut_by_the_cap_keeps_the_dfs_witness(monkeypatch):
     T = random_tensor(F3, 5, 3, 2, "alt", seed=3)
     full = alpha_alt(T)
     assert decided and full.exhausted
-    # the decisive certificate scans all 121 hyperplanes, and is the last work
-    assert full.visits > gauss_binom(5, 4, 3)
-    for cap in (full.visits - 1, full.visits - gauss_binom(5, 4, 3) + 1):
+    # the decisive certificate scans all 121 hyperplanes, and is the last
+    # work: a cap anywhere in that block cuts it, one visit past the cap
+    block = gauss_binom(5, 4, 3)
+    assert full.visits > block
+    for cap in range(full.visits - block, full.visits):
         cut = alpha_alt(T, cap)
-        assert not cut.exhausted
+        assert (cut.exhausted, cut.visits) == (False, cap + 1)
         assert (cut.index, cut.witness) == (full.index, full.witness)
-        assert alt_restricts_zero(T, cut.witness[0])
+    assert alt_restricts_zero(T, full.witness[0])
+
+
+def _first_isotropic_by_loop(T, k):
+    """The per-subspace oracle of the certificate's scan: the first
+    isotropic k-subspace's rows and 1-based position in the enumeration,
+    or None and the Grassmannian's size."""
+    pos = 0
+    for pos, U in enumerate(enumerate_grassmannian(T.field, T.n, k), 1):
+        if alt_restricts_zero(T, U):
+            return U.rows, pos
+    return None, pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_certificate_scan_matches_the_per_subspace_loop(data):
+    # random and sparse maps; every k whose Grassmannian the certificate may
+    # scan, under a cap drawn past the oracle's visits or inside them
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    d = data.draw(st.sampled_from((2, 3, 4)))
+    n = data.draw(st.integers(d, 5 if q <= 3 else 4))
+    m = data.draw(st.sampled_from((1, 2)))
+    F = field_of_order(q)
+    size = m * comb(n, d)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+    if data.draw(st.booleans(), label="sparse"):
+        keep = data.draw(st.sets(st.integers(0, size - 1), max_size=2))
+        coeffs = [c if i in keep else 0 for i, c in enumerate(coeffs)]
+    T = AltTensor(F, n, d, m, coeffs)
+    for k in range(n + 1):
+        if gauss_binom(n, k, q) > gauss_binom(n, d - 1, q):
+            continue
+        rows, pos = _first_isotropic_by_loop(T, k)
+        cap = data.draw(st.integers(0, pos + 1), label="cap")
+        search = isotropy._AltSearch(T, cap)
+        got = search.first_isotropic(k)
+        if pos <= cap:
+            assert (got, search.visits, search.exhausted) == (rows, pos, True)
+        else:
+            assert (got, search.visits, search.exhausted) == (None, cap + 1, False)
 
 
 def test_certificate_keeps_visits_below_the_frontier():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multilin.errors import PreconditionError
+from multilin.errors import CapExceededError, PreconditionError
 from multilin.field import embed, field_make, field_of_order
 from multilin.grassmann import Subspace
 from multilin.tensor import (
@@ -189,6 +189,18 @@ def test_base_change_preserves_restriction_verdicts():
             rows4 = [tuple(embed(x, F2, F4) for x in r) for r in rows]
             V4 = Subspace.span(F4, 3, rows4)
             assert restrict_zero(T, [V2, V2]) == restrict_zero(T4, [V4, V4])
+
+
+@pytest.mark.parametrize("cls", [Tensor, AltTensor])
+def test_coeff_count_cap_refuses_exactly_the_counts_past_it(cls):
+    # the bound that refuses a huge shape unformed never exceeds the count:
+    # a cap equal to the count admits it, one below refuses it
+    for n, d, m in itertools.product(range(13), range(1, 7), (1, 2, 3, 5)):
+        count = cls.coeff_count(n, d, m)
+        assert cls.coeff_count_capped(n, d, m, count) == count
+        if count:
+            with pytest.raises(CapExceededError):
+                cls.coeff_count_capped(n, d, m, count - 1)
 
 
 def test_random_tensor_regression_pins():
