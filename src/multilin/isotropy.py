@@ -583,10 +583,9 @@ def alpha_field_alt(
     bound (requires an explicit ``samples`` count, at least one).  Maps with
     more than ``DEFAULT_CAP`` coefficients are refused, and so is a huge
     space before its size is formed."""
-    check_shape(n, d, m)
+    ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)  # checks the shape
     if samples is not None and samples < 1:
         raise PreconditionError(f"need samples >= 1, got {samples}")
-    ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)
     floor_value = min(d - 1, n)
     if samples is None:
         what = "exhaustive tensor scan"
