@@ -152,6 +152,14 @@ def _decimal(count: int) -> str:
         raise _over_digit_limit() from None
 
 
+def _refuse_past_digit_limit(q: int, exponent: int) -> None:
+    """Refuse a count known to be at least q^exponent when that has more
+    digits than the int-to-str limit, before the count is formed."""
+    limit = sys.get_int_max_str_digits()
+    if limit and exponent * math.log10(q) > limit:
+        raise _over_digit_limit()
+
+
 def _over_digit_limit() -> PreconditionError:
     limit = sys.get_int_max_str_digits()
     return PreconditionError(f"count has over {limit} digits, the int-to-str limit")
@@ -247,19 +255,33 @@ def cmd_isotropy_field_min(args) -> int:
     return _emit(args, params, result.to_dict())
 
 
-# incidence operation -> (the flags it reads, its count, the raw cross-check)
+# incidence operation -> (the flags it reads, its count, the raw cross-check,
+# the dimension of its incidence variety)
 INCIDENCES = {
-    "incidence-alt": ("q n d m k", isotropy.count_alt_incidence, isotropy.count_alt_incidence_raw),
-    "incidence-hom": ("q n d m", isotropy.count_hom_incidence, isotropy.count_hom_incidence_raw),
+    "incidence-alt": (
+        "q n d m k",
+        isotropy.count_alt_incidence,
+        isotropy.count_alt_incidence_raw,
+        grassmann.alt_incidence_dim,
+    ),
+    "incidence-hom": (
+        "q n d m",
+        isotropy.count_hom_incidence,
+        isotropy.count_hom_incidence_raw,
+        grassmann.hom_incidence_dim,
+    ),
 }
 
 
 def cmd_isotropy_incidence(args) -> int:
-    flags, count, count_raw = INCIDENCES[args.operation]
+    flags, count, count_raw, dim = INCIDENCES[args.operation]
     cap = _cap(args)
     params = _params(args, flags)
     F = field_of_order(args.q)
     shape = list(params.values())[1:]  # the flags after --q
+    isotropy.check_incidence(*shape)
+    # a nonzero count is at least q^dim
+    _refuse_past_digit_limit(args.q, dim(*shape))
     payload = {"count": _decimal(count(F, *shape))}
     if args.raw:
         payload["raw_count"] = _decimal(count_raw(F, *shape, cap))
@@ -285,10 +307,9 @@ def cmd_rank_ar(args) -> int:
 
 def cmd_grassmann_count(args) -> int:
     field_of_order(args.q)  # q must be a prime power
-    n, k, limit = args.n, args.k, sys.get_int_max_str_digits()
-    # [n, k]_q >= q^(k(n-k)), so a count past the digit limit is refused unformed
-    if limit and 0 <= k <= n and k * (n - k) * math.log10(args.q) > limit:
-        raise _over_digit_limit()
+    n, k = args.n, args.k
+    if 0 <= k <= n:
+        _refuse_past_digit_limit(args.q, k * (n - k))  # [n, k]_q >= q^(k(n-k))
     count = grassmann.gauss_binom(n, k, args.q)
     return _emit(args, _params(args, "q n k"), {"count": _decimal(count)})
 
@@ -491,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _ints(p, "q n d m")
     p.add_argument("--samples", type=int, help="sample this many maps instead of scanning all")
     p.add_argument("--seed", type=int, help="splitmix64 seed of the samples (default 0)")
-    for name, (flags, _, _) in INCIDENCES.items():
+    for name, (flags, *_) in INCIDENCES.items():
         p = _operation(ops, name, cmd_isotropy_incidence, "number of (subspaces, map) zero pairs")
         _ints(p, flags)
         p.add_argument("--raw", action="store_true", help="also count by raw enumeration")

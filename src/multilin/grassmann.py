@@ -19,11 +19,16 @@ keeps the basis reduced and keyed by pivot bit (the M4RI representation
 of Albrecht, Bard and Hart, ACM TOMS 2010), and leaves other rows to the
 list ``rref``.  ``rank`` and ``kernel_basis`` are those on converted rows;
 RREF is unique, so ``kernel_basis_by_rref``, the list route, is their
-oracle.  ``projective_points`` lists P(F^n).
+oracle.  ``leaf_points`` and ``leaf_subspaces`` list the kernel's
+projective points and its k-subspaces in leaf form, so over F_2 the rows
+stay packed to the caller: each combination of kernel rows is one lookup
+in a table of XOR combinations (M4RI's Four-Russians table).
+``projective_points`` lists P(F^n).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -119,8 +124,61 @@ def leaf_rank(field: Field, form: Sequence) -> int:
 def leaf_kernel(field: Field, form: Sequence, n: int) -> list:
     """:func:`kernel_basis` of rows in :func:`leaf_form`."""
     if field.q == 2:
-        return gf2_kernel(gf2_basis(form), n)
+        return [gf2_unpack(v, n) for v in gf2_kernel(gf2_basis(form), n)]
     return kernel_basis_by_rref(field, form, n)
+
+
+def leaf_points(field: Field, form: Sequence, n: int) -> Iterable:
+    """Canonical projective points of the kernel of rows in
+    :func:`leaf_form`, in leaf form and in :func:`span_points` order of the
+    kernel's RREF.  Over F_2 they are XOR combinations of the packed
+    kernel's echelon rows (:func:`gf2_span_points`), never unpacked."""
+    if field.q == 2:
+        return gf2_span_points(gf2_rows(gf2_basis(gf2_kernel(gf2_basis(form), n))))
+    return span_points(field, rref(field, kernel_basis_by_rref(field, form, n))[0])
+
+
+def leaf_subspaces(field: Field, form: Sequence, n: int, k: int) -> Iterator[tuple]:
+    """The k-subspaces of the kernel of rows in :func:`leaf_form`, each as
+    its RREF rows in leaf form.  They come in the order of their
+    coefficients against the :func:`leaf_kernel` basis, which run over
+    Gr(k, F^dim) in :func:`enumerate_grassmannian`'s order.  Over F_2 each
+    coefficient row is one lookup in the basis's :func:`gf2_combinations`
+    table, and the k rows are reduced by :func:`gf2_basis`."""
+    if field.q == 2:
+        basis = gf2_basis(form)
+        if n - len(basis) < k:
+            return
+        table = gf2_combinations(gf2_kernel(basis, n))
+        for coefs in _coefficient_subspaces(field, n - len(basis), k):
+            yield tuple(gf2_rows(gf2_basis([table[c] for c in coefs])))
+        return
+    kernel = kernel_basis_by_rref(field, form, n)
+    if len(kernel) < k:
+        return
+    axpy, _ = field.row_ops()
+    zero = (0,) * n
+    for coefs in _coefficient_subspaces(field, len(kernel), k):
+        vectors = []
+        for row in coefs:
+            v = zero
+            for c, bvec in zip(row, kernel):
+                if c:
+                    v = axpy(v, c, bvec)
+            vectors.append(v)
+        yield rref(field, vectors)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_subspaces(field: Field, dim: int, k: int) -> tuple:
+    """The RREF rows of every k-subspace of F^dim, in
+    :func:`enumerate_grassmannian`'s order and in :func:`leaf_form`; kept
+    per (field, dim, k), as :func:`multilin.tensor.increasing_tuples` is per
+    shape.  A caller listing the k-subspaces of F^n already holds more."""
+    return tuple(
+        tuple(leaf_form(field, S.rows))
+        for S in enumerate_grassmannian(field, dim, k, cap=DEFAULT_CAP)
+    )
 
 
 # Packed F_2 rows: a row of n bits is an int whose bit n - 1 - j is column
@@ -162,8 +220,8 @@ def gf2_basis(rows: Iterable[int]) -> dict:
 
 def gf2_kernel(basis: dict, n: int) -> list:
     """:func:`kernel_basis` over F_2^n of the rows whose :func:`gf2_basis`
-    is given: per free column, from the left, the vector with that bit and
-    the pivot bits of the rows that have it, unpacked."""
+    is given, packed: per free column, from the left, the vector with that
+    bit and the pivot bits of the rows that have it."""
     out = []
     for b in range(n - 1, -1, -1):
         if b in basis:
@@ -172,8 +230,36 @@ def gf2_kernel(basis: dict, n: int) -> list:
         for p, row in basis.items():
             if row >> b & 1:
                 v |= 1 << p
-        out.append(gf2_unpack(v, n))
+        out.append(v)
     return out
+
+
+def gf2_rows(basis: dict) -> list:
+    """The rows of a :func:`gf2_basis` in RREF order: by pivot column, that
+    is, by pivot bit from the highest."""
+    return [basis[b] for b in sorted(basis, reverse=True)]
+
+
+def gf2_combinations(rows: Sequence[int]) -> list:
+    """The XOR of every subset of the packed rows, indexed by the packed
+    coefficient vector: entry x sums the rows j with bit len(rows) - 1 - j
+    of x set, so a row of coefficients is read off in one lookup (the
+    Four-Russians table of M4RI).  Each row doubles the table, and the
+    entries below 2^i combine only the last i rows."""
+    table = [0]
+    for row in reversed(rows):
+        table += [x ^ row for x in table]
+    return table
+
+
+def gf2_span_points(rows: Sequence[int]) -> list:
+    """:func:`span_points` of packed RREF rows: row i XOR each combination
+    of the rows after it, which are the first entries of the
+    :func:`gf2_combinations` table of all rows but the first, in binary
+    count order, as over F_2 the product order of their coefficients is."""
+    table = gf2_combinations(rows[1:])
+    last = len(rows) - 1
+    return [lead ^ x for i, lead in enumerate(rows) for x in table[: 1 << (last - i)]]
 
 
 def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
@@ -384,8 +470,10 @@ def stratum_count(field: Field, n: int, k: int, l: int, cap: int = DEFAULT_CAP) 
 
 def alt_incidence_dim(n: int, d: int, m: int, k: int) -> int:
     """Dimension of the incidence variety of pairs (V, [T]) with V a
-    k-subspace isotropic for the alternating map T."""
-    return (n - k) * k + m * (comb(n, d) - comb(k, d)) - 1
+    k-subspace isotropic for the alternating map T; -1 when it is empty,
+    that is, when no nonzero map vanishes on a k-subspace."""
+    fiber = m * (comb(n, d) - comb(k, d))
+    return (n - k) * k + fiber - 1 if fiber else -1
 
 
 def hom_incidence_dim(n: int, d: int, m: int) -> int:

@@ -48,10 +48,11 @@ prefix on which T vanishes (every later slot is then free), and reads the
 last slot off the joint kernel of the prefix's contractions instead of
 scanning it.  Contractions are memoised per tuple of basis rows, so each
 point tuple is contracted once per walk; a (d-1)-tuple's nonzero rows are
-kept in ``grassmann.leaf_form``, and a leaf yields them stacked.  Listing
-callers expand the stack's ``leaf_kernel`` into subspace tuples, the count
-adds sizes from its ``leaf_rank`` alone, and the cap is charged one unit
-per node of the walk.
+kept in ``grassmann.leaf_form``, and the level above the leaves stacks
+them in one loop.  The tuple listings look the stack's ``leaf_subspaces``
+up in the subspace list by their rows in leaf form, the build reads its
+``leaf_points``, the count adds sizes from its ``leaf_rank`` alone, and
+the cap is charged one unit per node of the walk.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from .grassmann import (
     iter_projective_points,
     kernel_basis,
     leaf_form,
-    leaf_kernel,
     leaf_rank,
+    leaf_subspaces,
     rref,
     span_points,
 )
@@ -393,24 +394,6 @@ def alpha_alt_by_scan(T: AltTensor, cap: int = DEFAULT_CAP) -> IsotropyResult:
 # ---------------------------------------------------------------------------
 
 
-def _subspaces_within(field: Field, n: int, basis: list, k: int) -> Iterator[Subspace]:
-    """k-subspaces of span(basis), as subspaces of F^n."""
-    dim = len(basis)
-    if dim < k:
-        return
-    axpy, _ = field.row_ops()
-    zero = (0,) * n
-    for sel in enumerate_grassmannian(field, dim, k, cap=DEFAULT_CAP):
-        vectors = []
-        for coefs in sel.rows:
-            v = zero
-            for c, bvec in zip(coefs, basis):
-                if c:
-                    v = axpy(v, c, bvec)
-            vectors.append(v)
-        yield Subspace.span(field, n, vectors)
-
-
 def _leaf_rows(field: Field, block, m: int, n: int):
     """The nonzero rows of an m x n block, in :func:`leaf_form`."""
     rows = (block[o * n : (o + 1) * n] for o in range(m))
@@ -429,11 +412,12 @@ def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
     ``leaf_kernel`` is the last slot's kernel.  Blocks are memoised per
     tuple of rows: when every row is a canonical projective point (RREF
     rows are) there are at most P^(d-1) of them; a (d-1)-tuple's block is
-    kept as its leaf rows.  The cap is charged one unit per node, the root
-    included."""
+    kept as its leaf rows.  The level above the leaves is one loop that
+    stacks them, with no generator per leaf.  The cap is charged one unit
+    per node, the root included."""
     field, n, d, m = T.field, T.n, T.d, T.m
     memo = {(): T.coeffs}
-    leaves = {(): _leaf_rows(field, T.coeffs, m, n)} if d == 1 else {}
+    leaves = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
     nodes = 0
 
     def walk(prefix, keys):
@@ -441,22 +425,36 @@ def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
         nodes += 1
         if nodes > cap:
             raise CapExceededError("slot walk exceeded its cap")
-        if len(prefix) == d - 1:
-            stack = [r for key in keys for r in leaves[key]]
-            yield prefix, stack or None
+        if len(prefix) == d - 1:  # d = 1: the root is the only leaf
+            yield prefix, list(_leaf_rows(field, T.coeffs, m, n)) or None
             return
         if not any(map(any, (memo[key] for key in keys))):
             yield prefix, None
             return
         order = d - len(prefix)
-        store = leaves if order == 2 else memo
+        if order > 2:
+            for i, rows in enumerate(bases):
+                child = [key + (r,) for key in keys for r in rows]
+                for key in child:
+                    if key not in memo:
+                        memo[key] = _contract_first(field, memo[key[:-1]], m, n, order, key[-1])
+                yield from walk(prefix + (i,), child)
+            return
+        by_key = [(memo[key], leaves.setdefault(key, {})) for key in keys]
         for i, rows in enumerate(bases):
-            child = [key + (r,) for key in keys for r in rows]
-            for key in child:
-                if key not in store:
-                    block = _contract_first(field, memo[key[:-1]], m, n, order, key[-1])
-                    store[key] = _leaf_rows(field, block, m, n) if order == 2 else block
-            yield from walk(prefix + (i,), child)
+            nodes += 1
+            if nodes > cap:
+                raise CapExceededError("slot walk exceeded its cap")
+            stack = []
+            for block, known in by_key:
+                for r in rows:
+                    leaf = known.get(r)
+                    if leaf is None:
+                        leaf = known[r] = _leaf_rows(
+                            field, _contract_first(field, block, m, n, 2, r), m, n
+                        )
+                    stack += leaf
+            yield prefix + (i,), stack or None
 
     return walk((), [()])
 
@@ -464,16 +462,18 @@ def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
 def _isotropic_tuples(T: Tensor, subs: list, k: int, cap: int) -> Iterator[tuple]:
     """d-tuples of k-subspaces annihilating T, in walk order; ``subs`` is
     every k-subspace.  A free leaf's tails run over ``subs`` in product
-    order, a kernel leaf's last slot over the k-subspaces of its kernel."""
+    order, a kernel leaf's last slot over the k-subspaces of its kernel,
+    looked up in ``subs`` by their RREF rows in leaf form."""
+    field = T.field
+    by_rows = {leaf_form(field, V.rows): V for V in subs}
     for prefix, stack in _slot_walk(T, [V.rows for V in subs], cap):
         head = tuple(subs[i] for i in prefix)
         if stack is None:
             for tail in itertools.product(subs, repeat=T.d - len(prefix)):
                 yield head + tail
         else:
-            kernel = leaf_kernel(T.field, stack, T.n)
-            for V in _subspaces_within(T.field, T.n, kernel, k):
-                yield head + (V,)
+            for rows in leaf_subspaces(field, stack, T.n, k):
+                yield head + (by_rows[rows],)
 
 
 @dataclass(frozen=True)
@@ -624,7 +624,7 @@ def alpha_field_alt(
 # ---------------------------------------------------------------------------
 
 
-def _check_incidence(n: int, d: int, m: int, k: int) -> None:
+def check_incidence(n: int, d: int, m: int, k: int = 2) -> None:
     """Reject a bad map shape or a subspace dimension k outside 0..n."""
     check_shape(n, d, m)
     if not 0 <= k <= n:
@@ -634,17 +634,21 @@ def _check_incidence(n: int, d: int, m: int, k: int) -> None:
 def count_alt_incidence(field: Field, n: int, d: int, m: int, k: int) -> int:
     """|{(V, [T]) : V a k-subspace, T alternating nonzero up to scalar,
     T vanishes on V}| over F_q, by the fiber product formula: the maps
-    vanishing on a fixed V form a subspace of codimension m * C(k, d)."""
-    _check_incidence(n, d, m, k)
+    vanishing on a fixed V form a subspace of codimension m * C(k, d).
+    It is at least q^alt_incidence_dim when nonzero."""
+    check_incidence(n, d, m, k)
     q = field.q
     fiber_dim = m * (comb(n, d) - comb(k, d))
+    if not fiber_dim:
+        return 0  # no nonzero map vanishes on V; the subspace count is not formed
     return gauss_binom(n, k, q) * ((q**fiber_dim - 1) // (q - 1))
 
 
 def count_hom_incidence(field: Field, n: int, d: int, m: int) -> int:
     """|{(U_1..U_d, [T]) : U_i 2-dimensional, T multilinear nonzero up to
-    scalar, T vanishes on the product}|, fiber exponent m (n^d - 2^d)."""
-    _check_incidence(n, d, m, 2)
+    scalar, T vanishes on the product}|, fiber exponent m (n^d - 2^d).  It
+    is at least q^hom_incidence_dim when nonzero."""
+    check_incidence(n, d, m)
     q = field.q
     fiber_dim = m * (n**d - 2**d)
     return gauss_binom(n, 2, q) ** d * ((q**fiber_dim - 1) // (q - 1))
@@ -654,9 +658,13 @@ def count_alt_incidence_raw(
     field: Field, n: int, d: int, m: int, k: int, cap: int = DEFAULT_CAP
 ) -> int:
     """Raw enumeration cross-check of :func:`count_alt_incidence`."""
-    _check_incidence(n, d, m, k)
+    check_incidence(n, d, m, k)
     q = field.q
     ncoef = m * comb(n, d)
+    # q^(ncoef - 1) maps up to scalar or more, times [n, k]_q >= q^(k(n-k))
+    # subspaces: a huge scan is refused before q^ncoef is formed
+    bits = (max(ncoef - 1, 0) + k * (n - k)) * (q.bit_length() - 1)
+    check_cap_bits(bits, cap, "raw incidence scan")
     reps = (q**ncoef - 1) // (q - 1)
     check_cap(reps * gauss_binom(n, k, q), cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, k, cap=cap))
@@ -671,9 +679,12 @@ def count_hom_incidence_raw(
     field: Field, n: int, d: int, m: int, cap: int = DEFAULT_CAP
 ) -> int:
     """Raw enumeration cross-check of :func:`count_hom_incidence`."""
-    _check_incidence(n, d, m, 2)
+    check_incidence(n, d, m)
     q = field.q
     ncoef = m * n**d
+    # as in count_alt_incidence_raw, with [n, 2]_q^d >= q^(2d(n-2)) tuples
+    bits = (ncoef - 1 + 2 * d * (n - 2)) * (q.bit_length() - 1)
+    check_cap_bits(bits, cap, "raw incidence scan")
     reps = (q**ncoef - 1) // (q - 1)
     check_cap(reps * gauss_binom(n, 2, q) ** d, cap, "raw incidence scan")
     subs = list(enumerate_grassmannian(field, n, 2, cap=cap))

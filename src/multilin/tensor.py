@@ -253,26 +253,42 @@ def alt_eval(T: AltTensor, vectors: Sequence[Sequence[int]]) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _permuted_offsets(n: int, d: int) -> tuple:
+    """Per increasing d-tuple over range(n), in :func:`increasing_tuples`
+    order, the flat offsets in one output block of n^d entries of its even
+    and of its odd permutations."""
+    strides = [n ** (d - 1 - j) for j in range(d)]
+    out = []
+    for idx in increasing_tuples(n, d):
+        even, odd = [], []
+        for sign, perm in _signed_perms(d):
+            offset = sum(idx[perm[j]] * strides[j] for j in range(d))
+            (even if sign > 0 else odd).append(offset)
+        out.append((tuple(even), tuple(odd)))
+    return tuple(out)
+
+
 def expand(T: AltTensor) -> Tensor:
     """Dense Tensor with the same evaluations: sign(perm) * coefficient on
     permuted increasing tuples, zero on repeated indices."""
     n, d, m = T.n, T.d, T.m
     field = T.field
-    flat = [0] * (m * n**d)
-    tuples = increasing_tuples(n, d)
-    ntup = len(tuples)
-    strides = [n ** (d - 1 - j) for j in range(d)]
+    block = n**d
+    flat = [0] * (m * block)
+    offsets = _permuted_offsets(n, d)
+    ntup = len(offsets)
     for o in range(m):
-        for pos, idx in enumerate(tuples):
+        base = o * block
+        for pos, (even, odd) in enumerate(offsets):
             c = T.coeffs[o * ntup + pos]
             if not c:
                 continue
+            for offset in even:
+                flat[base + offset] = c
             neg_c = field.neg(c)
-            for sign, perm in _signed_perms(d):
-                flat_idx = o * n**d + sum(
-                    idx[perm[j]] * strides[j] for j in range(d)
-                )
-                flat[flat_idx] = c if sign > 0 else neg_c
+            for offset in odd:
+                flat[base + offset] = neg_c
     return Tensor(field, n, d, m, flat)
 
 

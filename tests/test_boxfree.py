@@ -21,7 +21,7 @@ from multilin.boxfree import (
 )
 from multilin.errors import DEFAULT_CAP, CapExceededError, PreconditionError
 from multilin.field import field_make, field_of_order
-from multilin.grassmann import iter_projective_points
+from multilin.grassmann import enumerate_grassmannian, iter_projective_points
 from multilin.isotropy import count_plane_tuples, isotropic_plane_tuples
 from multilin.prng import SplitMix64
 from multilin.tensor import Tensor, random_tensor, tensor_eval
@@ -354,6 +354,30 @@ def test_build_matches_brute_force_on_maps_vanishing_after_the_first_slot(q, m, 
     ]
     T = Tensor(F, N, 3, m, coeffs)
     assert build_hypergraph(T).edges == brute_force_edges(T)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_f2_build_and_plane_tuples_match_direct_evaluation_on_f2_5(m, data):
+    # the packed leaf on F_2^5, d = 2: kernels of dimension up to four, and
+    # each plane pair kept iff T vanishes on every pair of basis rows (RREF
+    # rows are projective points, so the zero point pairs decide it)
+    N, d = 5, 2
+    bits = st.sampled_from((0, 0, 0, 1))
+    coeffs = data.draw(st.lists(bits, min_size=m * N**d, max_size=m * N**d))
+    T = Tensor(F2, N, d, m, coeffs)
+    edges = brute_force_edges(T)
+    assert build_hypergraph(T).edges == edges
+    points = projective_points(F2, N)
+    zeros = {(points[i], points[j]) for i, j in edges}
+    planes = list(enumerate_grassmannian(F2, N, 2))
+    brute = [
+        (U.rows, V.rows)
+        for U, V in itertools.product(planes, repeat=2)
+        if all(pair in zeros for pair in itertools.product(U.rows, V.rows))
+    ]
+    assert [(U.rows, V.rows) for U, V in isotropic_plane_tuples(T)] == sorted(brute)
 
 
 @settings(max_examples=3, deadline=None)

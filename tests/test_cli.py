@@ -107,6 +107,9 @@ def test_grassmann_cap_exit_code(capsys, deadline):
     pytest.param("isotropy alt --q 2 --n 3000 --d 3 --m 1", id="alt-huge-map"),
     pytest.param("isotropy field-min --q 2 --n 3000 --d 3 --m 1", id="field-min-huge-maps"),
     pytest.param("isotropy field-min --q 2 --n 60 --d 3 --m 1", id="field-min-huge-space"),
+    # the closed form is 0 (no nonzero map vanishes on all of F^n); the scan is not
+    pytest.param("isotropy incidence-alt --q 2 --n 3000 --d 3 --m 1 --k 3000 --raw",
+                 id="incidence-alt-raw-huge-scan"),
 ])
 def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tmp_path,
                                                         deadline, argv):
@@ -718,6 +721,15 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
                  id="incidence-alt-over-digit-limit"),
     pytest.param("isotropy incidence-hom --q 2 --n 30 --d 3 --m 1",
                  id="incidence-hom-over-digit-limit"),
+    # refused by the count's lower bound q^dim before q^(fiber dim) is formed
+    pytest.param("isotropy incidence-alt --q 2 --n 3000 --d 3 --m 1 --k 1",
+                 id="incidence-alt-far-over-digit-limit"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3000 --d 3 --m 1",
+                 id="incidence-hom-far-over-digit-limit"),
+    pytest.param("isotropy incidence-alt --q 2 --n 3000 --d 3 --m 1 --k 1 --raw",
+                 id="incidence-alt-raw-far-over-digit-limit"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3000 --d 3 --m 1 --raw",
+                 id="incidence-hom-raw-far-over-digit-limit"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, deadline, argv):
     monkeypatch.chdir(tmp_path)

@@ -9,7 +9,7 @@ from multilin import isotropy
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_bound
-from multilin.grassmann import enumerate_grassmannian, gauss_binom
+from multilin.grassmann import alt_incidence_dim, enumerate_grassmannian, gauss_binom
 from multilin.isotropy import (
     alpha_alt,
     alpha_alt_by_scan,
@@ -596,6 +596,20 @@ def test_count_hom_incidence_fiber_formula():
     assert count_hom_incidence(F2, 2, 2, 1) == 0
     assert count_hom_incidence(F2, 3, 2, 1) == 1519
     assert count_hom_incidence_raw(F2, 3, 2, 1) == 1519
+
+
+def test_raw_incidence_scans_refuse_a_huge_map_space_unformed(deadline):
+    # q^(ncoef) has billions of bits at n = 3000: refused by its bit bound
+    with pytest.raises(CapExceededError, match="needs at least 2\\^"):
+        count_alt_incidence_raw(F2, 3000, 3, 1, 3000)
+    with pytest.raises(CapExceededError, match="needs at least 2\\^"):
+        count_hom_incidence_raw(F2, 3000, 3, 1)
+
+
+def test_incidence_counts_are_zero_when_no_map_is_left(deadline):
+    # Alt^d(F^n) = 0 for n < d: the count is 0, with no [n, k]_q formed
+    assert count_alt_incidence(F2, 3000, 3001, 1, 1500) == 0
+    assert alt_incidence_dim(3000, 3001, 1, 1500) == -1
 
 
 def test_incidence_counts_scale_with_field():

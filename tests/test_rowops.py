@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from multilin.errors import InvariantViolation
 from multilin.field import field_of_order
 from multilin.grassmann import (
+    Subspace,
+    enumerate_grassmannian,
     gf2_basis,
     gf2_pack,
     gf2_unpack,
@@ -16,7 +18,9 @@ from multilin.grassmann import (
     kernel_basis_by_rref,
     leaf_form,
     leaf_kernel,
+    leaf_points,
     leaf_rank,
+    leaf_subspaces,
     rank,
     rref,
     span_points,
@@ -99,12 +103,12 @@ def test_rref_and_kernel_match_naive_elimination(case):
 
 
 @st.composite
-def sparse_matrices(draw, orders):
+def sparse_matrices(draw, orders, max_n=12):
     """A field of one of the given orders and 0-16 rows over F^n, n in
-    0..12, drawn sparse, with zero rows and repeats of earlier rows mixed
+    0..max_n, drawn sparse, with zero rows and repeats of earlier rows mixed
     in."""
     F = field_of_order(draw(st.sampled_from(orders)))
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, max_n))
     row = st.lists(st.sampled_from((0, 0) + tuple(range(1, F.q))), min_size=n, max_size=n)
     rows = draw(st.lists(row, max_size=16))
     for _ in range(draw(st.integers(0, 3))):
@@ -131,6 +135,49 @@ def test_leaf_form_rank_and_kernel_match_the_list_route(case, data):
     form = list(leaf_form(F, rows[:cut])) + list(leaf_form(F, rows[cut:]))
     assert leaf_rank(F, form) == len(rref(F, rows)[0])
     assert leaf_kernel(F, form, n) == kernel_basis_by_rref(F, rows, n)
+
+
+def subspaces_within(F, n, basis, k):
+    """The RREF rows of the k-subspaces of span(basis), each spanned by the
+    combinations of the basis with the coefficient rows of one subspace of
+    Gr(k, F^dim), in enumeration order."""
+    if len(basis) < k:
+        return []
+    out = []
+    for sel in enumerate_grassmannian(F, len(basis), k):
+        vectors = []
+        for coefs in sel.rows:
+            v = [0] * n
+            for c, row in zip(coefs, basis):
+                v = naive_axpy(F, v, c, row)
+            vectors.append(v)
+        out.append(Subspace.span(F, n, vectors).rows)
+    return out
+
+
+def stacked_blocks(F, rows, data):
+    """The rows in leaf form, converted in blocks cut at drawn places and
+    stacked, as the slot walk stacks its memoised leaf rows."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    bounds = [0, *cuts, len(rows)]
+    return [r for a, b in zip(bounds, bounds[1:]) for r in leaf_form(F, rows[a:b])]
+
+
+# kernels small enough to list: F_2^n up to n = 7, F_3..F_5 up to n = 4
+@given(
+    st.one_of(sparse_matrices(orders=(2,), max_n=7), sparse_matrices(orders=(3, 4, 5), max_n=4)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_leaf_points_and_subspaces_match_the_list_route(case, data):
+    F, n, rows = case
+    form = stacked_blocks(F, rows, data)
+    kernel = kernel_basis_by_rref(F, rows, n)
+    points = span_points(F, rref(F, kernel)[0])
+    assert list(leaf_points(F, form, n)) == list(leaf_form(F, list(points)))
+    k = data.draw(st.integers(0, 3))
+    expected = [tuple(leaf_form(F, rows)) for rows in subspaces_within(F, n, kernel, k)]
+    assert list(leaf_subspaces(F, form, n, k)) == expected
 
 
 @given(matrices(max_rows=4, max_cols=5), st.data())

@@ -142,6 +142,28 @@ def test_expand_agrees_with_alt_eval():
         assert alt_eval(T, vs) == tensor_eval(E, vs)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_the_entrywise_definition(data):
+    # entry (o, i_1..i_d) is sign(perm) * c[o, sorted(i)], and zero when an
+    # index repeats; expand's offsets are cached per (n, d), so shapes recur
+    F = data.draw(st.sampled_from((F2, F3, F4, F5)))
+    n, d, m = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+    tuples = list(itertools.combinations(range(n), d))
+    coeffs = data.draw(st.lists(st.integers(0, F.q - 1), min_size=m * len(tuples),
+                                max_size=m * len(tuples)))
+    expected = []
+    for o in range(m):
+        for idx in itertools.product(range(n), repeat=d):
+            if len(set(idx)) < d:
+                expected.append(0)
+                continue
+            c = coeffs[o * len(tuples) + tuples.index(tuple(sorted(idx)))]
+            inversions = sum(1 for a, b in itertools.combinations(idx, 2) if a > b)
+            expected.append(F.neg(c) if inversions % 2 else c)
+    assert expand(AltTensor(F, n, d, m, coeffs)).coeffs == tuple(expected)
+
+
 def test_expand_zero():
     assert expand(AltTensor.zero(F2, 3, 2, 1)).is_zero()
 
