@@ -390,49 +390,38 @@ def pigeonhole_search(
     ncoef = m * n1**d
     rng = SplitMix64(seed)
     # q^ncoef >= 2^(ncoef (bitlen(q) - 1)) rules out a huge space unformed
-    if ncoef * (q.bit_length() - 1) < tensor_cap.bit_length() and q**ncoef <= tensor_cap:
+    exhaustive = ncoef * (q.bit_length() - 1) < tensor_cap.bit_length() and q**ncoef <= tensor_cap
+    if exhaustive:
         order = rng.shuffle(list(range(q**ncoef)))
-        for trials, idx in enumerate(order, start=1):
-            T = _tensor_from_index(field, n1, d, m, idx)
-            count = count_plane_tuples(T, limit=bound, cap=cap)
-            if count <= bound:
-                info = {
-                    "tuple_count": count,
-                    "tuple_bound": bound,
-                    "exhaustive": True,
-                    "trials": trials,
-                    "met": True,
-                }
-                return T, info
-        raise InvariantViolation(
-            "no map met the pigeonhole bound despite the averaging guarantee"
-        )
-    if max_trials < 1:
+        maps = (_tensor_from_index(field, n1, d, m, idx) for idx in order)
+    elif max_trials < 1:
         raise PreconditionError(f"need max_trials >= 1, got {max_trials}")
-    # the first trial is counted exactly, each later one only as far as it
+    else:
+        maps = (
+            Tensor(field, n1, d, m, tuple(rng.below(q) for _ in range(ncoef)))
+            for _ in range(max_trials)
+        )
+    # an exhaustive scan counts each map only as far as the bound; a sampled
+    # one counts the first map exactly and each later one only as far as it
     # could beat the best, so every count that is kept is exact
     best_T = best_count = None
-    for trials in range(1, max_trials + 1):
-        coeffs = tuple(rng.below(q) for _ in range(ncoef))
-        T = Tensor(field, n1, d, m, coeffs)
-        limit = None if best_count is None else best_count - 1
+    for trials, T in enumerate(maps, start=1):
+        limit = bound if exhaustive else None if best_count is None else best_count - 1
         count = count_plane_tuples(T, limit=limit, cap=cap)
         if best_count is None or count < best_count:
             best_T, best_count = T, count
         if count <= bound:
-            return T, {
-                "tuple_count": count,
-                "tuple_bound": bound,
-                "exhaustive": False,
-                "trials": trials,
-                "met": True,
-            }
+            break
+    if exhaustive and best_count > bound:
+        raise InvariantViolation(
+            "no map met the pigeonhole bound despite the averaging guarantee"
+        )
     return best_T, {
         "tuple_count": best_count,
         "tuple_bound": bound,
-        "exhaustive": False,
-        "trials": max_trials,
-        "met": False,
+        "exhaustive": exhaustive,
+        "trials": trials,
+        "met": best_count <= bound,
     }
 
 

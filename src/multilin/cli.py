@@ -156,7 +156,9 @@ def _refuse_past_digit_limit(q: int, exponent: int) -> None:
     """Refuse a count known to be at least q^exponent when that has more
     digits than the int-to-str limit, before the count is formed."""
     limit = sys.get_int_max_str_digits()
-    if limit and exponent * math.log10(q) > limit:
+    # log10(q) > 1/4, so an exponent past 4 * limit is refused without
+    # converting it to a float, which a huge one would overflow
+    if limit and min(exponent, 4 * limit) * math.log10(q) > limit:
         raise _over_digit_limit()
 
 
@@ -256,31 +258,37 @@ def cmd_isotropy_field_min(args) -> int:
 
 
 # incidence operation -> (the flags it reads, its count, the raw cross-check,
-# the dimension of its incidence variety)
+# the dimension of its incidence variety, and b with dim >= 2^b - 1 when the
+# count is nonzero: for n >= 3 the fiber m(n^d - 2^d) is at least 2^(d-1), and
+# for k < n m(C(n, d) - C(k, d)) >= C(n - 1, r) >= 2^r, r = min(d - 1, n - d))
 INCIDENCES = {
     "incidence-alt": (
         "q n d m k",
         isotropy.count_alt_incidence,
         isotropy.count_alt_incidence_raw,
         grassmann.alt_incidence_dim,
+        lambda n, d, m, k: max(0, min(d - 1, n - d)) if k < n else 0,
     ),
     "incidence-hom": (
         "q n d m",
         isotropy.count_hom_incidence,
         isotropy.count_hom_incidence_raw,
         grassmann.hom_incidence_dim,
+        lambda n, d, m: d - 1 if n >= 3 else 0,
     ),
 }
 
 
 def cmd_isotropy_incidence(args) -> int:
-    flags, count, count_raw, dim = INCIDENCES[args.operation]
+    flags, count, count_raw, dim, dim_bits = INCIDENCES[args.operation]
     cap = _cap(args)
     params = _params(args, flags)
     F = field_of_order(args.q)
     shape = list(params.values())[1:]  # the flags after --q
     isotropy.check_incidence(*shape)
-    # a nonzero count is at least q^dim
+    # a nonzero count is at least q^dim; a huge dim is refused by its bit
+    # bound before n^d or C(n, d) is formed
+    _refuse_past_digit_limit(args.q, (1 << min(dim_bits(*shape), 64)) - 1)
     _refuse_past_digit_limit(args.q, dim(*shape))
     payload = {"count": _decimal(count(F, *shape))}
     if args.raw:

@@ -23,13 +23,14 @@ kernel is no larger than the best dimension found, k, is not expanded.
 After a frontier subtree raises k, a top-down certificate scans
 Gr(k+1, n) for an isotropic subspace, but only when that Grassmannian has
 no more subspaces than the frontier Gr(d-1, n), whose walk it would cut
-short (a closed-form rule, with no setting).  The scan chooses the RREF
-rows one at a time, in the enumeration's order, keeping the contractions
-of the rows chosen so far; a row outside the joint kernel of the earlier
-rows' (d-1)-subsets rules out all of its completions, and the cap is
-charged their number in one step, so each scanned subspace is still one
-visit and no subspace is built.  If none is isotropic, k is the index and
-the search ends; if one is, the DFS goes on, so the witness is always the
+short (a closed-form rule, with no setting).  One row-prefix walk seeds
+the DFS at Gr(d-1, n) and makes this scan: it chooses the RREF rows one
+at a time, in the enumeration's order, keeping the contractions of the
+rows chosen so far; a row outside the joint kernel of the earlier rows'
+(d-1)-subsets rules out all of its completions, and the cap is charged
+their number in one step, so each scanned subspace is still one visit and
+no subspace is built.  If none is isotropic, k is the index and the
+search ends; if one is, the DFS goes on, so the witness is always the
 DFS's first subspace of the final dimension.
 
 ``alpha_field_alt`` scans the map space in product order but searches
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from typing import Iterator, Optional
 
 from .errors import (
@@ -151,19 +152,14 @@ class _AltSearch:
     def run(self) -> None:
         """Seed the DFS at every (d-1)-subspace in canonical order; after a
         frontier subtree raises the index found, try the certificate."""
-        field, n = self.field, self.n
-        start_k = self.d - 1
         certified = -1
-        # the search budget (spend) governs; the lazy generator needs no pre-check
-        for W in enumerate_grassmannian(field, n, start_k, cap=1 << 62):
-            if self.found(W.rows):  # every frontier subspace is isotropic
+        # no row prefix of a (d-1)-subspace has a (d-1)-subset: nothing is pruned
+        for rows, pivots, partial in self.isotropic(self.d - 1):
+            if self.found(rows):  # every frontier subspace is isotropic
                 return
             if self.spend():
                 return
-            partial = {(): self.dense}
-            for i in range(start_k):
-                partial = self.extend_partial(partial, W.rows[:i], W.rows[i])
-            if self.dfs(W.rows, W.pivots, partial):
+            if self.dfs(rows, pivots, partial):
                 return  # either the ceiling was reached or the budget ran out
             if self.best_k > certified:
                 done = self.certify()
@@ -211,54 +207,59 @@ class _AltSearch:
         """RREF rows of the first isotropic k-subspace in
         :func:`enumerate_grassmannian`'s order, charging one visit per
         subspace up to and including it; None when there is none or the
-        budget ran out.  Given the pivots, each row ranges over its free
-        entries (the non-pivot columns after its pivot) in product order,
-        so the nested choice of rows is the enumeration order.  For rows R
-        spanning an isotropic subspace, span(R + [v]) is isotropic iff
-        T(S, v) = 0 for every (d-1)-subset S of R, that is, iff v lies in
-        their joint kernel; when it does not, no completion of R + [v] is
-        isotropic, and all of them are charged at once."""
+        budget ran out."""
+        hit = next(self.isotropic(k), None)
+        return None if hit is None or self.spend() else hit[0]
+
+    def isotropic(self, k: int) -> Iterator[tuple]:
+        """Every isotropic k-subspace as (rows, pivots, partial), ``partial``
+        the contractions of the rows' subsets, in
+        :func:`enumerate_grassmannian`'s order: given the pivots, the rows
+        are chosen one at a time in product order, and each row prefix is
+        contracted once for all its completions.  For isotropic span(R),
+        span(R + [v]) is isotropic iff T(S, v) = 0 for every (d-1)-subset S
+        of R; when it is not, no completion of R + [v] is, and the cap is
+        charged all of them at once.  The caller charges each subspace it
+        takes; the walk ends when the budget runs out."""
         field, n = self.field, self.n
         for pivots in itertools.combinations(range(n), k):
-            options = []
-            for p in pivots:
-                free = [j for j in range(p + 1, n) if j not in pivots]
-                row = [0] * n
-                row[p] = field.one
-                choices = []
-                for values in itertools.product(field.elements(), repeat=len(free)):
-                    for j, x in zip(free, values):
-                        row[j] = x
-                    choices.append(tuple(row))
-                options.append(choices)
-            # completions of a choice of row i: the subspaces that share it
-            later = [prod(map(len, options[i + 1 :])) for i in range(k)]
-            rows = self._first_completion(options, later, (), {(): self.dense})
-            if rows is not None or not self.exhausted:
-                return rows
-        return None
+            # a row is one at its pivot, zero before it and at the other pivots
+            # and free elsewhere: its choices are the product of its columns
+            columns = [
+                [(field.one,) if j == p else (0,) if j < p or j in pivots else field.elements()
+                 for j in range(n)]
+                for p in pivots
+            ]
+            # the completions of a choice of row i: row r > i has n - 1 - p
+            # columns after its pivot p, k - 1 - r of them pivots
+            later = [
+                field.q ** sum(n - k + r - p for r, p in enumerate(pivots) if r > i)
+                for i in range(k)
+            ]
+            yield from self._completions(pivots, columns, later, (), {(): self.dense})
+            if not self.exhausted:
+                return
 
-    def _first_completion(self, options, later, rows, partial) -> Optional[tuple]:
-        """The first isotropic completion of ``rows`` by one choice from
-        each later entry of ``options``, with ``partial`` the contractions
-        of ``rows``' subsets; None when there is none or the budget ran
-        out."""
+    def _completions(self, pivots, columns, later, rows, partial) -> Iterator[tuple]:
+        """:meth:`isotropic` below the row prefix ``rows``, ``partial`` its
+        contractions (a method: a recursive closure is a reference cycle)."""
         i = len(rows)
-        if i == len(options):
-            return None if self.spend() else rows
+        if i == len(pivots):
+            yield rows, pivots, partial
+            return
         field, m, n = self.field, self.m, self.n
         subsets = list(itertools.combinations(range(i), self.d - 1))
-        for v in options[i]:
-            if any(any(_contract_first(field, partial[S], m, n, 1, v)) for S in subsets):
+        for v in itertools.product(*columns[i]):
+            if subsets and any(
+                any(_contract_first(field, partial[S], m, n, 1, v)) for S in subsets
+            ):
                 if self.spend(later[i]):
-                    return None
+                    return
                 continue
-            found = self._first_completion(
-                options, later, rows + (v,), self.extend_partial(partial, rows, v)
-            )
-            if found is not None or not self.exhausted:
-                return found
-        return None
+            extended = self.extend_partial(partial, rows, v)
+            yield from self._completions(pivots, columns, later, rows + (v,), extended)
+            if not self.exhausted:
+                return
 
     def joint_kernel(self, partial: dict, rows: tuple) -> list:
         """Kernel of x -> T(subset, x) over all (d-1)-subsets of rows."""

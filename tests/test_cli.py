@@ -730,6 +730,21 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
                  id="incidence-alt-raw-far-over-digit-limit"),
     pytest.param("isotropy incidence-hom --q 2 --n 3000 --d 3 --m 1 --raw",
                  id="incidence-hom-raw-far-over-digit-limit"),
+    # refused by a bit bound on the variety's dimension before n^d or
+    # C(n, d) is formed
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 100000000 --m 1",
+                 id="incidence-hom-huge-d"),
+    pytest.param("isotropy incidence-alt --q 2 --n 100000000 --d 50000000 --m 1 --k 1",
+                 id="incidence-alt-huge-n-and-d"),
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 100000000 --m 1 --raw",
+                 id="incidence-hom-raw-huge-d"),
+    pytest.param("isotropy incidence-alt --q 2 --n 100000000 --d 50000000 --m 1 --k 1 --raw",
+                 id="incidence-alt-raw-huge-n-and-d"),
+    # an exponent too large for a float is still a digit-limit refusal
+    pytest.param("isotropy incidence-hom --q 2 --n 3 --d 2000 --m 1",
+                 id="incidence-hom-dim-past-float-range"),
+    pytest.param(f"grassmann count --q 2 --n {10**200} --k {10**199}",
+                 id="count-exponent-past-float-range"),
 ])
 def test_cli_bad_input_exits_2(capsys, monkeypatch, tmp_path, deadline, argv):
     monkeypatch.chdir(tmp_path)

@@ -280,6 +280,80 @@ def test_certificate_scan_matches_the_per_subspace_loop(data):
             assert (got, search.visits, search.exhausted) == (None, cap + 1, False)
 
 
+# (q, n, d, m, seed, cap) -> (index, exhausted, visits, witness rows).  The
+# frontier, the DFS and the certificate share one visit budget, so each cap
+# is chosen to cut the search in one place: a frontier subspace, a DFS
+# subtree, a certificate row charged with all its completions at once, or
+# the certificate's hit.
+WALK_PINS = {
+    (2, 5, 3, 1, 1, DEFAULT_CAP): (4, True, 353, (
+        (1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+    (2, 5, 3, 1, 1, 194): (3, False, 195, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0))),
+    (2, 5, 3, 1, 1, 192): (3, False, 193, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0))),
+    (2, 5, 3, 1, 1, 17): (3, False, 18, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0))),
+    (2, 5, 3, 1, 1, 33): (3, False, 34, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0))),
+    (2, 6, 3, 2, 0, 491): (3, False, 492, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0))),
+    (2, 6, 3, 2, 0, 285): (3, False, 286, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0))),
+    (2, 6, 3, 2, 0, 634): (4, False, 635, (
+        (1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 1))),
+    (2, 6, 4, 1, 1, 569): (4, False, 570, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 1, 0))),
+    (2, 6, 4, 1, 1, 567): (4, False, 568, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 1, 0))),
+    (2, 6, 4, 1, 1, 21): (4, False, 22, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 1, 0))),
+    (2, 5, 2, 2, 0, 12): (2, False, 13, ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0))),
+    (2, 5, 2, 2, 0, 14): (2, False, 15, ((1, 0, 0, 0, 0), (0, 1, 0, 1, 0))),
+    (2, 5, 2, 2, 0, 39): (3, False, 40, ((1, 0, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1))),
+    (3, 5, 3, 1, 0, DEFAULT_CAP): (4, True, 525, (
+        (1, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 1, 2, 0), (0, 0, 0, 0, 1))),
+    (3, 5, 3, 1, 0, 311): (3, False, 312, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 3, 1, 0, 312): (3, False, 313, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 3, 1, 0, 46): (3, False, 47, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 3, 1, 0, 100): (3, False, 101, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 2, 1, 1, 10): (3, False, 11, ((1, 0, 0, 0, 0), (0, 1, 0, 2, 0), (0, 0, 1, 1, 2))),
+    (3, 5, 2, 1, 1, 87): (3, False, 88, ((1, 0, 0, 0, 0), (0, 1, 0, 2, 0), (0, 0, 1, 1, 2))),
+    (4, 4, 2, 1, 0, 44): (2, False, 45, ((2, 0, 0, 0), (0, 2, 0, 2))),
+    (4, 4, 2, 1, 0, 90): (2, False, 91, ((2, 0, 0, 0), (0, 2, 0, 2))),
+    (5, 4, 3, 2, 0, 60): (2, False, 61, ((1, 0, 0, 0), (0, 1, 0, 0))),
+    (2, 6, 2, 2, 0, DEFAULT_CAP): (3, True, 550, (
+        (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 0))),
+    (2, 6, 2, 2, 0, 273): (3, False, 274, (
+        (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WALK_PINS))
+def test_alpha_alt_walk_pins(key):
+    q, n, d, m, seed, cap = key
+    T = random_tensor(field_of_order(q), n, d, m, "alt", seed=seed)
+    result = alpha_alt(T, cap)
+    got = (result.index, result.exhausted, result.visits, result.witness[0].rows)
+    assert got == WALK_PINS[key]
+
+
+@pytest.mark.parametrize("q, n, d, m", [
+    (2, 5, 3, 1), (3, 4, 3, 2), (4, 4, 2, 1), (2, 6, 4, 1), (5, 3, 3, 1), (3, 3, 1, 1),
+])
+def test_frontier_walk_is_the_grassmannian_in_order(q, n, d, m):
+    # at k = d - 1 no row prefix has a (d-1)-subset, so the walk prunes and
+    # charges nothing: it is Gr(d-1, n) in enumeration order, each subspace
+    # with the contractions that extending its rows one by one builds
+    T = random_tensor(field_of_order(q), n, d, m, "alt", seed=7)
+    search = isotropy._AltSearch(T, DEFAULT_CAP)
+    walked = list(search.isotropic(d - 1))
+    subs = list(enumerate_grassmannian(T.field, n, d - 1))
+    assert [(rows, pivots) for rows, pivots, _ in walked] == [(W.rows, W.pivots) for W in subs]
+    assert search.visits == 0
+    for (_, _, partial), W in zip(walked, subs):
+        expected = {(): search.dense}
+        for i in range(d - 1):
+            expected = search.extend_partial(expected, W.rows[:i], W.rows[i])
+        assert partial == expected
+
+
 def test_certificate_keeps_visits_below_the_frontier():
     # (3,6,3,1) seed 1 has index 4, and the certificate rules out the
     # 364 hyperplanes; without it the DFS walks all 11,011 frontier planes
@@ -300,6 +374,17 @@ def test_alpha_field_alt_exhaustive_values():
     result = alpha_field_alt(F2, 4, 2, 1)
     assert result.value == 2 and result.exhaustive
     assert result.value <= alpha_bound(4, 2, 1)
+
+
+@pytest.mark.parametrize("q, n, d, m, expected", [
+    (2, 4, 2, 1, (2, 64)),
+    (3, 4, 3, 1, (3, 81)),
+    (5, 3, 2, 1, (2, 125)),
+])
+def test_alpha_field_alt_pins(q, n, d, m, expected):
+    result = alpha_field_alt(field_of_order(q), n, d, m)
+    assert result.exhaustive
+    assert (result.value, result.tensors_scanned) == expected
 
 
 def _field_min_by_scan(F, n, d, m):
