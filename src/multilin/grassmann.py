@@ -471,7 +471,10 @@ def stratum_count(field: Field, n: int, k: int, l: int, cap: int = DEFAULT_CAP) 
 def alt_incidence_dim(n: int, d: int, m: int, k: int) -> int:
     """Dimension of the incidence variety of pairs (V, [T]) with V a
     k-subspace isotropic for the alternating map T; -1 when it is empty,
-    that is, when no nonzero map vanishes on a k-subspace."""
+    that is, when no nonzero map vanishes on a k-subspace (always at k = n,
+    where C(n, d) is not formed)."""
+    if k == n:
+        return -1
     fiber = m * (comb(n, d) - comb(k, d))
     return (n - k) * k + fiber - 1 if fiber else -1
 

@@ -37,7 +37,13 @@ DFS's first subspace of the final dimension.
 only one map per scalar class: multiples share their index, and the one
 whose leading coefficient is the element encoded 1 comes first.  Each
 search gets the running minimum as a ceiling and stops once it has shown
-the map cannot go below it.
+the map cannot go below it.  Its witness W, of dimension at least the
+minimum, is kept: a later map that vanishes on W has index at least
+dim W, so it cannot lower the minimum and is not searched (nor can it
+hit the search cap).  The test reads W's d x d minors, computed once by
+``tensor.alt_minors`` when W is kept, against the map's coefficients, as
+:func:`alt_restricts_zero` does; the pool's rules are given at
+:func:`alpha_field_alt`.
 
 ``alpha_alt_by_scan`` is the independent oracle: a plain top-down
 Grassmannian scan that shares no code path with the DFS.
@@ -88,9 +94,11 @@ from .tensor import (
     AltTensor,
     Tensor,
     _contract_first,
+    alt_minors,
     alt_restricts_zero,
     check_shape,
     expand,
+    field_dot,
     restrict_zero,
 )
 
@@ -556,11 +564,15 @@ def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAUL
 class FieldAlphaResult:
     """Minimum isotropy index over a space of alternating maps.  When
     ``exhaustive`` is False the value is only an upper bound for the true
-    minimum (sampling mode)."""
+    minimum (sampling mode).  ``searched`` counts the maps whose index was
+    searched and ``certified`` those a kept witness decided; both stay out
+    of the document."""
 
     value: int
     exhaustive: bool
     tensors_scanned: int
+    searched: int
+    certified: int
 
     def to_dict(self) -> dict:
         return {
@@ -568,6 +580,30 @@ class FieldAlphaResult:
             "exhaustive": self.exhaustive,
             "tensors_scanned": self.tensors_scanned,
         }
+
+
+def _vanishing_test(field: Field, n: int, d: int, m: int, rows: tuple):
+    """Whether a coefficient tuple of Alt^d(F^n, F^m) vanishes on
+    span(rows): for every output and every d-subset of the rows, the sum of
+    coefficient times minor is zero (:func:`alt_restricts_zero`'s test).
+    The minors are computed here, once; a test reads only the coefficients
+    at the nonzero ones."""
+    ntup = comb(n, d)
+    terms = []
+    for minors in alt_minors(field, n, rows, d):
+        at = [pos for pos, x in enumerate(minors) if x]
+        weights = [minors[pos] for pos in at]
+        terms += [([o * ntup + pos for pos in at], weights) for o in range(m)]
+    dot = field_dot(field)
+
+    def vanishes(coeffs) -> bool:
+        get = coeffs.__getitem__
+        for at, weights in terms:
+            if dot(map(get, at), weights):
+                return False
+        return True
+
+    return vanishes
 
 
 def alpha_field_alt(
@@ -583,7 +619,16 @@ def alpha_field_alt(
     coefficient space fits ``DEFAULT_TENSOR_CAP``, otherwise a sampled upper
     bound (requires an explicit ``samples`` count, at least one).  Maps with
     more than ``DEFAULT_CAP`` coefficients are refused, and so is a huge
-    space before its size is formed."""
+    space before its size is formed.
+
+    Each search's witness W has dim W >= the running minimum, so a later
+    map that vanishes on W cannot lower it and is not searched.  Witnesses
+    are kept in a pool, tested most recent certifier first.  A test costs
+    less than one subspace visit, so a map is given at most
+    1 + (certified + visits) // searched tests, ``visits`` those of all
+    searches so far, and the pool is cut to that length.  W joins only
+    when the maps vanishing on it, m * (C(n, d) - C(dim W, d)) dimensions
+    of them, are more than one scalar class."""
     ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)  # checks the shape
     if samples is not None and samples < 1:
         raise PreconditionError(f"need samples >= 1, got {samples}")
@@ -599,7 +644,8 @@ def alpha_field_alt(
         rng = SplitMix64(seed)
         maps = (tuple(rng.below(field.q) for _ in range(ncoef)) for _ in range(samples))
     best = n
-    scanned = 0
+    scanned = searched = certified = visits = 0
+    pool = []  # vanishing tests of witnesses, the most recent certifier first
     for coeffs in maps:
         scanned += 1
         # the zero map's index n is the starting value; of the others the
@@ -608,16 +654,26 @@ def alpha_field_alt(
         # product order (not field.one, which is p^(e-1) in extension fields)
         lead = next((c for c in coeffs if c), 0)
         if lead and (samples is not None or lead == 1):
+            del pool[1 + (certified + visits) // max(searched, 1) :]
+            hit = next((i for i, vanishes in enumerate(pool) if vanishes(coeffs)), None)
+            if hit is not None:
+                pool.insert(0, pool.pop(hit))
+                certified += 1
+                continue  # alpha >= dim W >= best: the minimum stays
             T = AltTensor(field, n, d, m, coeffs)
             search = _AltSearch(T, cap, ceiling=best)
             search.run()
             if not search.exhausted:
                 raise CapExceededError("inner isotropy search capped")
             _checked_witness(T, search)
+            searched += 1
+            visits += search.visits
             best = min(best, search.best_k)
+            if ncoef - m * comb(search.best_k, d) >= 2:
+                pool.insert(0, _vanishing_test(field, n, d, m, search.best_rows))
         if best <= floor_value:
             break  # the index never drops below min(d-1, n)
-    return FieldAlphaResult(best, samples is None, scanned)
+    return FieldAlphaResult(best, samples is None, scanned, searched, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +694,8 @@ def count_alt_incidence(field: Field, n: int, d: int, m: int, k: int) -> int:
     vanishing on a fixed V form a subspace of codimension m * C(k, d).
     It is at least q^alt_incidence_dim when nonzero."""
     check_incidence(n, d, m, k)
+    if k == n:
+        return 0  # no nonzero map vanishes on F^n; C(n, d) is not formed
     q = field.q
     fiber_dim = m * (comb(n, d) - comb(k, d))
     if not fiber_dim:
@@ -661,9 +719,13 @@ def count_alt_incidence_raw(
     """Raw enumeration cross-check of :func:`count_alt_incidence`."""
     check_incidence(n, d, m, k)
     q = field.q
-    ncoef = m * comb(n, d)
     # q^(ncoef - 1) maps up to scalar or more, times [n, k]_q >= q^(k(n-k))
-    # subspaces: a huge scan is refused before q^ncoef is formed
+    # subspaces: a huge scan is refused before q^ncoef is formed, and one
+    # with ncoef >= m * (n // d)^d >= 2^t before C(n, d) is
+    if n >= d:
+        t = min(d * ((n // d).bit_length() - 1) + m.bit_length() - 1, 64)
+        check_cap_bits(((1 << t) - 1) * (q.bit_length() - 1), cap, "raw incidence scan")
+    ncoef = m * comb(n, d)
     bits = (max(ncoef - 1, 0) + k * (n - k)) * (q.bit_length() - 1)
     check_cap_bits(bits, cap, "raw incidence scan")
     reps = (q**ncoef - 1) // (q - 1)

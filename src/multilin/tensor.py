@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_CAP, PreconditionError, check_cap, check_cap_bits
 from .field import Field, embedding_map
@@ -41,24 +42,6 @@ def _signed_perms(d: int) -> tuple:
         )
         out.append((1 if inversions % 2 == 0 else -1, perm))
     return tuple(out)
-
-
-def _det(field: Field, rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small square matrix by signed permutation expansion."""
-    d = len(rows)
-    if d == 0:
-        return field.one
-    mul = field.mul
-    acc = 0
-    for sign, perm in _signed_perms(d):
-        prod = field.one
-        for i in range(d):
-            prod = mul(prod, rows[i][perm[i]])
-            if prod == 0:
-                break
-        if prod:
-            acc = field.add(acc, prod if sign > 0 else field.neg(prod))
-    return acc
 
 
 def check_shape(n: int, d: int, m: int) -> None:
@@ -227,6 +210,57 @@ def tensor_eval(T: Tensor, vectors: Sequence[Sequence[int]]) -> tuple:
     return tuple(_contract_first(T.field, flat, T.m, T.n, 1, vectors[-1]))
 
 
+@functools.lru_cache(maxsize=None)
+def field_dot(field: Field):
+    """``dot(xs, ws)``, the sum of x * w over two iterables of elements
+    taken in pairs, built once per field."""
+    if field.e == 1:
+        p = field.p
+        return lambda xs, ws: sum(map(operator.mul, xs, ws)) % p
+    add = operator.xor if field.p == 2 else field.add
+    mul = field.mul
+    return lambda xs, ws: functools.reduce(add, map(mul, xs, ws), 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_terms(n: int, j: int) -> tuple:
+    """Per increasing j-tuple I over range(n), in :func:`increasing_tuples`
+    order, the Laplace expansion of a j x j minor along its last row, as
+    (columns, at): the columns of I and, per column, the place of the
+    minor without it in the (j-1)-minors followed by their negatives, the
+    negated copy when the term's sign (-1)^(j+t) is odd, t the column's
+    1-based place in I."""
+    where = {idx: pos for pos, idx in enumerate(increasing_tuples(n, j - 1))}
+    shift = len(where)
+    return tuple(
+        (idx, tuple(where[idx[:t] + idx[t + 1 :]] + (shift if (j - 1 - t) % 2 else 0)
+                    for t in range(j)))
+        for idx in increasing_tuples(n, j)
+    )
+
+
+def alt_minors(field: Field, n: int, rows: Sequence[Sequence[int]], d: int) -> Iterator[list]:
+    """The d x d minors of every d-subset of ``rows`` (vectors in F^n), one
+    list per subset in ``itertools.combinations`` order, over the
+    increasing d-tuples of columns in :func:`increasing_tuples` order.
+    A single row's minors are its entries; a longer row prefix's follow
+    from its own prefix's by Laplace expansion along the last row, once per
+    prefix, and are shared by every subset that extends it."""
+    dot = field_dot(field)
+    memo = {(i,): row for i, row in enumerate(rows)}
+    for subset in itertools.combinations(range(len(rows)), d):
+        for j in range(2, d + 1):
+            key = subset[:j]
+            if key not in memo:
+                prev, row = memo[key[:-1]], rows[key[-1]]
+                signed = list(prev) + [field.neg(x) for x in prev]
+                memo[key] = [
+                    dot(map(row.__getitem__, cols), map(signed.__getitem__, at))
+                    for cols, at in _laplace_terms(n, j)
+                ]
+        yield memo[subset]
+
+
 def alt_eval(T: AltTensor, vectors: Sequence[Sequence[int]]) -> tuple:
     """Alternating evaluation: sum over increasing tuples of coefficient
     times the minor determinant of the argument matrix."""
@@ -235,22 +269,9 @@ def alt_eval(T: AltTensor, vectors: Sequence[Sequence[int]]) -> tuple:
     for v in vectors:
         if len(v) != T.n:
             raise PreconditionError("argument vector has wrong length")
-    field = T.field
-    tuples = increasing_tuples(T.n, T.d)
-    ntup = len(tuples)
-    out = []
-    for o in range(T.m):
-        base = o * ntup
-        acc = 0
-        for pos, idx in enumerate(tuples):
-            c = T.coeffs[base + pos]
-            if c:
-                minor = [[v[j] for j in idx] for v in vectors]
-                det = _det(field, minor)
-                if det:
-                    acc = field.add(acc, field.mul(c, det))
-        out.append(acc)
-    return tuple(out)
+    (minors,) = alt_minors(T.field, T.n, vectors, T.d)
+    dot, ntup = field_dot(T.field), len(minors)
+    return tuple(dot(T.coeffs[o * ntup : (o + 1) * ntup], minors) for o in range(T.m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,17 +349,22 @@ def restrict_zero(T: Tensor, spaces: Sequence) -> bool:
 
 
 def alt_restricts_zero(T: AltTensor, space) -> bool:
-    """True iff the alternating map vanishes on the subspace.  Subspaces of
-    dimension below d are isotropic automatically (alternation kills any
-    tuple with a linear dependence)."""
+    """True iff the alternating map vanishes on the subspace: for every
+    output and every d-subset of its basis rows, the sum of coefficient
+    times minor is zero.  Subspaces of dimension below d are isotropic
+    automatically (alternation kills any tuple with a linear dependence)."""
     rows = _rows_of(space)
     if len(rows) < T.d:
         return True
-    zero = (0,) * T.m
-    for idx in itertools.combinations(range(len(rows)), T.d):
-        if alt_eval(T, [rows[i] for i in idx]) != zero:
-            return False
-    return True
+    if any(len(r) != T.n for r in rows):
+        raise PreconditionError("argument vector has wrong length")
+    dot, ntup = field_dot(T.field), comb(T.n, T.d)
+    blocks = [T.coeffs[o * ntup : (o + 1) * ntup] for o in range(T.m)]
+    return not any(
+        dot(block, minors)
+        for minors in alt_minors(T.field, T.n, rows, T.d)
+        for block in blocks
+    )
 
 
 # ---------------------------------------------------------------------------

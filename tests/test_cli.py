@@ -110,6 +110,9 @@ def test_grassmann_cap_exit_code(capsys, deadline):
     # the closed form is 0 (no nonzero map vanishes on all of F^n); the scan is not
     pytest.param("isotropy incidence-alt --q 2 --n 3000 --d 3 --m 1 --k 3000 --raw",
                  id="incidence-alt-raw-huge-scan"),
+    # C(n, d) has some 10^7 digits here: the scan is refused before it is formed
+    pytest.param("isotropy incidence-alt --q 2 --n 100000000 --d 50000000 --m 1 "
+                 "--k 100000000 --raw", id="incidence-alt-raw-huge-binomial"),
 ])
 def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tmp_path,
                                                         deadline, argv):
@@ -118,6 +121,15 @@ def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tm
     assert main(argv.split()) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "needs at least 2^" in captured.err
+
+
+def test_isotropy_incidence_alt_at_k_equals_n_is_zero_unformed(capsys, deadline):
+    # no nonzero map vanishes on all of F^n: the count is 0 before C(n, d) is formed
+    code, doc = run_cli(
+        capsys,
+        *"isotropy incidence-alt --q 2 --n 100000000 --d 50000000 --m 1 --k 100000000".split(),
+    )
+    assert code == 0 and doc["count"] == "0"
 
 
 def test_isotropy_alt(capsys, schema):

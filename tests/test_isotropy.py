@@ -9,7 +9,7 @@ from multilin import isotropy
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_bound
-from multilin.grassmann import alt_incidence_dim, enumerate_grassmannian, gauss_binom
+from multilin.grassmann import Subspace, alt_incidence_dim, enumerate_grassmannian, gauss_binom
 from multilin.isotropy import (
     alpha_alt,
     alpha_alt_by_scan,
@@ -419,7 +419,49 @@ def test_alpha_field_alt_matches_the_scan_loop(monkeypatch, q, n, d, m):
     assert (result.value, result.tensors_scanned) == _field_min_by_scan(F, n, d, m)
     maps = itertools.product(F.elements(), repeat=m * comb(n, d))
     scanned = itertools.islice(maps, result.tensors_scanned)
-    assert len(searched) == sum(next((c for c in cs if c), 0) == 1 for cs in scanned)
+    assert len(searched) == result.searched
+    assert result.searched + result.certified == sum(
+        next((c for c in cs if c), 0) == 1 for cs in scanned
+    )
+
+
+@pytest.mark.parametrize("q, n, d, m, samples, seed, expected", [
+    (7, 4, 3, 1, None, 0, (3, 2401)),
+    (2, 5, 3, 1, None, 0, (4, 1024)),
+    (4, 3, 2, 3, None, 0, (1, 4369)),
+    (2, 6, 2, 1, None, 0, (3, 32768)),
+    (2, 6, 3, 1, 300, 1, (4, 300)),
+    (3, 5, 3, 1, 200, 2, (4, 200)),
+    (5, 4, 2, 2, 200, 3, (2, 200)),
+    (4, 4, 2, 1, 300, 4, (2, 300)),
+])
+def test_alpha_field_alt_minima_with_kept_witnesses(q, n, d, m, samples, seed, expected):
+    # the values the scan gave before it kept witnesses; in each run a kept
+    # witness decides some map, which is then not searched
+    result = alpha_field_alt(field_of_order(q), n, d, m, samples=samples, seed=seed)
+    assert result.exhaustive == (samples is None)
+    assert (result.value, result.tensors_scanned) == expected
+    assert result.certified > 0
+    assert "searched" not in result.to_dict() and "certified" not in result.to_dict()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_witness_vanishing_test_matches_alt_restricts_zero(data):
+    # the pool's test reads each witness's minors, computed once, off the
+    # coefficient tuple; zero-heavy maps and witnesses near dimension d
+    # make both answers common
+    F = data.draw(st.sampled_from([F2, F3, F4, field_make(7)]))
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, min(n, 4)))
+    m = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(max(d - 1, 0), n))
+    elem = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    coeffs = tuple(data.draw(st.lists(elem, min_size=m * comb(n, d), max_size=m * comb(n, d))))
+    drawn = [tuple(data.draw(st.lists(elem, min_size=n, max_size=n))) for _ in range(k)]
+    rows = Subspace.span(F, n, drawn).rows
+    T = AltTensor(F, n, d, m, coeffs)
+    assert isotropy._vanishing_test(F, n, d, m, rows)(coeffs) == alt_restricts_zero(T, rows)
 
 
 def test_alpha_field_alt_trivial_when_d_exceeds_n():
@@ -695,6 +737,17 @@ def test_incidence_counts_are_zero_when_no_map_is_left(deadline):
     # Alt^d(F^n) = 0 for n < d: the count is 0, with no [n, k]_q formed
     assert count_alt_incidence(F2, 3000, 3001, 1, 1500) == 0
     assert alt_incidence_dim(3000, 3001, 1, 1500) == -1
+
+
+def test_incidence_counts_at_k_equals_n_are_zero_unformed(deadline):
+    # no nonzero map vanishes on all of F^n; C(10^8, 5 * 10^7) is never formed
+    n, d = 10**8, 5 * 10**7
+    assert count_alt_incidence(F2, n, d, 1, n) == 0
+    assert alt_incidence_dim(n, d, 1, n) == -1
+    with pytest.raises(CapExceededError, match="needs at least 2\\^"):
+        count_alt_incidence_raw(F2, n, d, 1, n)
+    # the small case agrees with the raw scan
+    assert count_alt_incidence(F3, 3, 2, 2, 3) == count_alt_incidence_raw(F3, 3, 2, 2, 3) == 0
 
 
 def test_incidence_counts_scale_with_field():

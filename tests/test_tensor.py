@@ -11,6 +11,7 @@ from multilin.tensor import (
     Tensor,
     _contract_slot,
     alt_eval,
+    alt_minors,
     alt_restricts_zero,
     base_change,
     expand,
@@ -124,6 +125,38 @@ def test_alt_eval_permutation_signs():
         )
         val = alt_eval(T, [vs[p] for p in perm])[0]
         assert val == (base if inv % 2 == 0 else F3.neg(base))
+
+
+def _leibniz_det(F, rows):
+    """Reference determinant: the signed sum over all permutations."""
+    acc = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+        prod = F.one
+        for i, j in enumerate(perm):
+            prod = F.mul(prod, rows[i][j])
+        acc = F.add(acc, prod if inv % 2 == 0 else F.neg(prod))
+    return acc
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_alt_minors_match_the_leibniz_determinant(data):
+    F = data.draw(st.sampled_from((F2, F3, F4, F5, field_of_order(9))))
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, min(n, 4)))
+    k = data.draw(st.integers(0, 5))
+    elem = st.integers(0, F.q - 1)
+    rows = [tuple(data.draw(st.lists(elem, min_size=n, max_size=n))) for _ in range(k)]
+    got = list(alt_minors(F, n, rows, d))
+    subsets = list(itertools.combinations(range(k), d))
+    assert len(got) == len(subsets)
+    for subset, minors in zip(subsets, got):
+        expected = [
+            _leibniz_det(F, [[rows[i][j] for j in cols] for i in subset])
+            for cols in itertools.combinations(range(n), d)
+        ]
+        assert list(minors) == expected
 
 
 def test_expand_small_antisymmetric_matrix():
