@@ -11,6 +11,9 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 from . import boxfree, formulas, grassmann, isotropy, rank
@@ -51,12 +54,14 @@ def crit_bgh_agreement(seed: int) -> dict:
 
 def crit_exceptional_table(seed: int) -> dict:
     """The m = 1 characteristic-0 table: 4 at (7,3), n-2 at (6,4),
-    floor(n/2) at (n,2) for n <= 20."""
+    ceil(n/2) at (n,2) for n <= 20 (an alternating form has even rank r,
+    and its radical with a Lagrangian of the quotient is isotropic of
+    dimension n - r/2)."""
     assert formulas.alpha_alt_closed(7, 3, 1, True).value == 4
     assert formulas.alpha_alt_closed(6, 4, 1, True).value == 4
     for n in range(2, 21):
         got = formulas.alpha_alt_closed(n, 2, 1, True)
-        assert got.value == n // 2, f"(n={n}, d=2): {got}"
+        assert got.value == (n + 1) // 2, f"(n={n}, d=2): {got}"
     return {"checked": 2 + 19}
 
 
@@ -333,15 +338,39 @@ def run_core(seed: int = DEFAULT_SEED, timings: dict | None = None) -> dict:
     return {"seed": seed, "criteria": report}
 
 
+def _other_hash_seed() -> str:
+    """A PYTHONHASHSEED unlike this process's: 0, which turns hash
+    randomisation off, unless this process runs at 0, then 1."""
+    current = os.environ.get("PYTHONHASHSEED", "")
+    return "1" if current.isdigit() and int(current) == 0 else "0"
+
+
 def crit_determinism(seed: int, first: dict | None = None) -> dict:
-    """Two runs of the core suite with the same seed serialize to the same
-    bytes (the report carries no timestamps or timings).  ``first`` is the
-    report of a run already made, which then is rerun once only."""
+    """The core suite serializes to the same bytes in this process and in
+    a fresh one run under another PYTHONHASHSEED, so no output leans on
+    str hashing or set order (the report carries no timestamps or
+    timings).  ``first`` is the report of a run already made here; the
+    suite is run once more, in the subprocess, which imports this package."""
     if first is None:
         first = run_core(seed)
-    again = run_core(seed)
-    assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True), (
-        "core suite output differs between identical runs"
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = _other_hash_seed()
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import json, sys\n"
+        "from multilin.acceptance import run_core\n"
+        "print(json.dumps(run_core(int(sys.argv[1])), sort_keys=True))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(seed)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=BUDGETS["determinism"],
+    )
+    assert proc.returncode == 0, f"core suite rerun failed: {proc.stderr[-2000:]}"
+    assert json.dumps(first, sort_keys=True) == proc.stdout.strip(), (
+        "core suite output differs between runs under different hash seeds"
     )
     return {"reruns": 1}
 

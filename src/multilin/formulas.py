@@ -63,7 +63,9 @@ def alpha_alt_closed(n: int, d: int, m: int, char_zero: bool = False) -> ClosedF
             "pass char_zero=True"
         )
     if d == 2:
-        return ClosedForm(n // 2, "exceptional:d=2")
+        # a form's rank r is even: its radical and a Lagrangian of the
+        # quotient span an isotropic subspace of dimension n - r/2
+        return ClosedForm((n + 1) // 2, "exceptional:d=2")
     if (d, n) == (3, 7):
         return ClosedForm(4, "exceptional:(3,7)")
     if d == n - 2 and d % 2 == 0:
@@ -81,7 +83,7 @@ def fp_number(d: int, m: int, k: int, char_zero: bool = False) -> ClosedForm:
     k-dimensional isotropic subspace (F algebraically closed).
 
     m >= 2: ceil(m * C(k,d) / k) + k, exactly.  m = 1 (characteristic 0):
-    2k for d = 2; otherwise ceil(C(k,d)/k) + k, corrected upward when that
+    2k - 1 for d = 2; otherwise ceil(C(k,d)/k) + k, corrected upward when that
     value lands on one of the exceptional rows of the m = 1 table, whose
     isotropy index sits below the generic count (the uncorrected display
     would overshoot the index at d = 3, k = 5 and at k = d + 1 for even d).
@@ -96,7 +98,7 @@ def fp_number(d: int, m: int, k: int, char_zero: bool = False) -> ClosedForm:
             "pass char_zero=True"
         )
     if d == 2:
-        return ClosedForm(2 * k, "char0:d=2")
+        return ClosedForm(2 * k - 1, "char0:d=2")
     n = _ceil_div(comb(k, d), k) + k
     branch = "char0:generic"
     for _ in range(3):
@@ -108,7 +110,7 @@ def fp_number(d: int, m: int, k: int, char_zero: bool = False) -> ClosedForm:
 
 
 def _turan_exceptional(n: int, d: int, k: int) -> Optional[str]:
-    if d == 2 and n // 2 <= k:
+    if d == 2 and (n + 1) // 2 <= k:
         return "d=2"
     if (d, n) == (3, 7) and 4 <= k:
         return "(3,7)"

@@ -29,13 +29,20 @@ at a time, in the enumeration's order, keeping the contractions of the
 rows chosen so far; a row outside the joint kernel of the earlier rows'
 (d-1)-subsets rules out all of its completions, and the cap is charged
 their number in one step, so each scanned subspace is still one visit and
-no subspace is built.  If none is isotropic, k is the index and the
-search ends; if one is, the DFS goes on, so the witness is always the
-DFS's first subspace of the final dimension.
+no subspace is built.  Hyperplanes are not scanned: T vanishes on
+ker phi iff phi ^ T = 0, a linear condition on phi
+(``tensor.alt_wedge_rows``).  With no such phi, Gr(n-1, n) is charged in
+one step; otherwise the first isotropic hyperplane in the enumeration's
+order, and its place there, are read off the null space, and the charge
+up to that place is one step.  Either way the charge ends where the
+scan's would.  If none is isotropic, k is the index and the search ends;
+if one is, the DFS goes on, so the witness is always the DFS's first
+subspace of the final dimension.
 
-``alpha_field_alt`` scans the map space in product order but searches
-only one map per scalar class: multiples share their index, and the one
-whose leading coefficient is the element encoded 1 comes first.  Each
+``alpha_field_alt`` searches only one map per scalar class: multiples
+share their index, and the one whose leading coefficient is the element
+encoded 1 comes first in product order.  The exhaustive scan draws only
+those maps, each with its place in product order.  Each
 search gets the running minimum as a ceiling and stops once it has shown
 the map cannot go below it.  Its witness W, of dimension at least the
 minimum, is kept: a later map that vanishes on W has index at least
@@ -96,6 +103,7 @@ from .tensor import (
     _contract_first,
     alt_minors,
     alt_restricts_zero,
+    alt_wedge_rows,
     check_shape,
     expand,
     field_dot,
@@ -139,6 +147,7 @@ class _AltSearch:
     dimension, and its witness is then not the DFS's first one."""
 
     def __init__(self, T: AltTensor, cap: int, ceiling: Optional[int] = None):
+        self.T = T
         self.field = T.field
         self.n = T.n
         self.d = T.d
@@ -215,9 +224,48 @@ class _AltSearch:
         """RREF rows of the first isotropic k-subspace in
         :func:`enumerate_grassmannian`'s order, charging one visit per
         subspace up to and including it; None when there is none or the
-        budget ran out."""
+        budget ran out.  Hyperplanes are not scanned: see
+        :meth:`first_hyperplane`."""
+        if k == self.n - 1:
+            return self.first_hyperplane()
         hit = next(self.isotropic(k), None)
         return None if hit is None or self.spend() else hit[0]
+
+    def first_hyperplane(self) -> Optional[tuple]:
+        """:meth:`first_isotropic` at k = n - 1, read off the functionals
+        phi with phi ^ T = 0, the kernel of ``alt_wedge_rows``: T vanishes
+        on ker phi iff phi ^ T = 0.  With none, all of Gr(n-1, n) is charged
+        in one step.  :func:`enumerate_grassmannian` lists ker phi in the
+        block of its non-pivot column c, the last nonzero coordinate of phi;
+        blocks come by c descending, q^c hyperplanes each, and within one,
+        with phi_c = -1, in the product order of phi_0, ..., phi_{c-1}, the
+        entries of its RREF rows in column c.  So the first hit has the
+        largest c, and then the least entries: phi reduced modulo the RREF
+        of the null vectors that vanish from column c on.  One charge up to
+        its place ends where the scan's charges would."""
+        field, n, q = self.field, self.n, self.field.q
+        null = kernel_basis(field, alt_wedge_rows(self.T), n)
+        if not null:
+            self.spend(gauss_binom(n, n - 1, q))
+            return None
+        axpy, scale = field.row_ops()
+        last = [max(j for j, x in enumerate(v) if x) for v in null]
+        c = max(last)
+        lead = null[last.index(c)]
+        phi = scale(field.neg(field.inv(lead[c])), lead)
+        below, pivots = rref(field, [axpy(v, v[c], phi) for v in null])
+        for row, p in zip(below, pivots):
+            if phi[p]:
+                phi = axpy(phi, field.neg(phi[p]), row)
+        place = sum(q**j for j in range(c + 1, n)) + 1
+        place += sum(phi[p] * q ** (c - 1 - p) for p in range(c))
+        if self.spend(place):
+            return None
+        return tuple(
+            tuple(field.one if j == p else phi[p] if j == c else 0 for j in range(n))
+            for p in range(n)
+            if p != c
+        )
 
     def isotropic(self, k: int) -> Iterator[tuple]:
         """Every isotropic k-subspace as (rows, pivots, partial), ``partial``
@@ -606,6 +654,22 @@ def _vanishing_test(field: Field, n: int, d: int, m: int, rows: tuple):
     return vanishes
 
 
+def _leading_one_maps(field: Field, ncoef: int) -> Iterator[tuple]:
+    """Each coefficient tuple whose first nonzero entry is encoded 1, one
+    per scalar class of nonzero maps, as (place, coeffs) in product order,
+    ``place`` its 1-based place among all q^ncoef tuples.  Encoded 1 is the
+    smallest nonzero code, so that multiple comes first in its class (it is
+    not field.one, which is p^(e-1) in extension fields).  The tuples led
+    by i zeros come after the q^(ncoef-1-i) with more, the zero map
+    first."""
+    q = field.q
+    for i in range(ncoef - 1, -1, -1):
+        head = (0,) * i + (1,)
+        tails = itertools.product(field.elements(), repeat=ncoef - 1 - i)
+        for place, tail in enumerate(tails, q ** (ncoef - 1 - i) + 1):
+            yield place, head + tail
+
+
 def alpha_field_alt(
     field: Field,
     n: int,
@@ -632,47 +696,50 @@ def alpha_field_alt(
     ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)  # checks the shape
     if samples is not None and samples < 1:
         raise PreconditionError(f"need samples >= 1, got {samples}")
+    if not ncoef:  # n <= d - 1: the zero map alone, its index n the floor
+        return FieldAlphaResult(n, samples is None, 1, 0, 0)
     floor_value = min(d - 1, n)
     if samples is None:
         what = "exhaustive tensor scan"
         check_cap_bits(ncoef * (field.q.bit_length() - 1), DEFAULT_TENSOR_CAP, what)
         check_cap(field.q**ncoef, DEFAULT_TENSOR_CAP, what)
-        maps = itertools.product(field.elements(), repeat=ncoef)
+        maps = _leading_one_maps(field, ncoef)
+        total = field.q**ncoef
     else:
         from .prng import SplitMix64
 
         rng = SplitMix64(seed)
-        maps = (tuple(rng.below(field.q) for _ in range(ncoef)) for _ in range(samples))
-    best = n
-    scanned = searched = certified = visits = 0
+        maps = enumerate(
+            (tuple(rng.below(field.q) for _ in range(ncoef)) for _ in range(samples)), 1
+        )
+        total = samples
+    best = n  # the zero map's index
+    scanned = total
+    searched = certified = visits = 0
     pool = []  # vanishing tests of witnesses, the most recent certifier first
-    for coeffs in maps:
-        scanned += 1
-        # the zero map's index n is the starting value; of the others the
-        # exhaustive scan searches one map per scalar class: encoded 1 is
-        # the smallest nonzero code, so that multiple comes first in
-        # product order (not field.one, which is p^(e-1) in extension fields)
-        lead = next((c for c in coeffs if c), 0)
-        if lead and (samples is not None or lead == 1):
-            del pool[1 + (certified + visits) // max(searched, 1) :]
-            hit = next((i for i, vanishes in enumerate(pool) if vanishes(coeffs)), None)
-            if hit is not None:
-                pool.insert(0, pool.pop(hit))
-                certified += 1
-                continue  # alpha >= dim W >= best: the minimum stays
-            T = AltTensor(field, n, d, m, coeffs)
-            search = _AltSearch(T, cap, ceiling=best)
-            search.run()
-            if not search.exhausted:
-                raise CapExceededError("inner isotropy search capped")
-            _checked_witness(T, search)
-            searched += 1
-            visits += search.visits
-            best = min(best, search.best_k)
-            if ncoef - m * comb(search.best_k, d) >= 2:
-                pool.insert(0, _vanishing_test(field, n, d, m, search.best_rows))
+    for place, coeffs in maps:
+        if not any(coeffs):
+            continue  # a sampled zero map
+        del pool[1 + (certified + visits) // max(searched, 1) :]
+        hit = next((i for i, vanishes in enumerate(pool) if vanishes(coeffs)), None)
+        if hit is not None:
+            pool.insert(0, pool.pop(hit))
+            certified += 1
+            continue  # alpha >= dim W >= best: the minimum stays
+        T = AltTensor(field, n, d, m, coeffs)
+        search = _AltSearch(T, cap, ceiling=best)
+        search.run()
+        if not search.exhausted:
+            raise CapExceededError("inner isotropy search capped")
+        _checked_witness(T, search)
+        searched += 1
+        visits += search.visits
+        best = min(best, search.best_k)
         if best <= floor_value:
+            scanned = place
             break  # the index never drops below min(d-1, n)
+        if ncoef - m * comb(search.best_k, d) >= 2:
+            pool.insert(0, _vanishing_test(field, n, d, m, search.best_rows))
     return FieldAlphaResult(best, samples is None, scanned, searched, certified)
 
 

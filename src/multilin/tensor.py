@@ -261,6 +261,28 @@ def alt_minors(field: Field, n: int, rows: Sequence[Sequence[int]], d: int) -> I
         yield memo[subset]
 
 
+def alt_wedge_rows(T: AltTensor) -> list:
+    """The linear map phi -> phi ^ T on functionals phi in F^n, as rows:
+    one per output o and increasing (d+1)-tuple J, whose product with phi is
+    the coefficient at J of T_o ^ phi.  That coefficient is the (d+1)-minor
+    over J with phi as its last row, expanded along it, T_o's coefficients
+    standing in for the d-minors.  T vanishes on ker phi (phi nonzero) iff
+    phi ^ T = 0: with phi first in a dual basis, T = phi ^ a + b, b free of
+    phi, and phi ^ T = phi ^ b is zero iff b, the restriction, is."""
+    n, d, field = T.n, T.d, T.field
+    ntup = comb(n, d)
+    out = []
+    for o in range(T.m):
+        block = T.coeffs[o * ntup : (o + 1) * ntup]
+        signed = list(block) + [field.neg(x) for x in block]
+        for cols, at in _laplace_terms(n, d + 1):
+            row = [0] * n
+            for j, pos in zip(cols, at):
+                row[j] = signed[pos]
+            out.append(row)
+    return out
+
+
 def alt_eval(T: AltTensor, vectors: Sequence[Sequence[int]]) -> tuple:
     """Alternating evaluation: sum over increasing tuples of coefficient
     times the minor determinant of the argument matrix."""

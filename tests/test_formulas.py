@@ -45,8 +45,10 @@ def test_alpha_alt_closed_generic_equals_bound():
 def test_alpha_alt_closed_exceptional_rows():
     assert alpha_alt_closed(7, 3, 1, True) == (4, "exceptional:(3,7)")
     assert alpha_alt_closed(6, 4, 1, True) == (4, "exceptional:d=n-2-even")
+    # a single alternating form has even rank r: its radical and a
+    # Lagrangian of the quotient give an isotropic subspace of n - r/2
     for n in range(2, 21):
-        assert alpha_alt_closed(n, 2, 1, True).value == n // 2
+        assert alpha_alt_closed(n, 2, 1, True).value == (n + 1) // 2
     # generic m = 1 row away from the exceptions
     assert alpha_alt_closed(8, 3, 1, True) == (5, "generic")
 
@@ -58,7 +60,7 @@ def test_alpha_alt_closed_requires_char_zero_for_m1():
 
 def test_fp_number_examples():
     assert fp_number(2, 2, 3).value == 5
-    assert fp_number(2, 1, 3, True).value == 6
+    assert fp_number(2, 1, 3, True).value == 5
     assert fp_number(3, 2, 3).value == 4
     with pytest.raises(PreconditionError):
         fp_number(3, 1, 3)
@@ -85,9 +87,13 @@ def test_fp_roundtrip_small():
 def test_turan_examples():
     assert turan_number(7, 3, 4, True) == (1, "exceptional:(3,7)")
     assert turan_number(4, 2, 1).value == 5
-    assert turan_number(5, 2, 2, True).value == 1  # d=2 exceptional case
+    # every form on F^5 has a 3-dimensional isotropic subspace, so (5,2,2)
+    # is generic: (k+1)(n-k-1) // C(k+1, 2) + 1 = 3, in any characteristic
+    assert turan_number(5, 2, 2, True) == (3, "generic")
+    assert turan_number(5, 2, 2) == (3, "generic")
+    assert turan_number(4, 2, 2, True).value == 1  # d=2 exceptional case
     with pytest.raises(PreconditionError):
-        turan_number(5, 2, 2)  # exceptional without char 0
+        turan_number(4, 2, 2)  # exceptional without char 0
     assert turan_number(3, 2, 5).value == 1  # k >= n is trivial
 
 
@@ -118,12 +124,9 @@ def test_gq_examples():
 
 
 def test_gq_matches_turan_at_codimension_one():
-    # the defining identity GQ = T(n, d, d-1); (n, d) = (3, 2) is excluded:
-    # there the m=1 floor convention and the bilinear display disagree
+    # the defining identity GQ = T(n, d, d-1)
     for d in range(2, 6):
         for n in range(d, 25):
-            if (n, d) == (3, 2):
-                continue
             assert gq_number(n, d).value == turan_number(n, d, d - 1, True).value
 
 

@@ -9,7 +9,13 @@ from multilin import isotropy
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_bound
-from multilin.grassmann import Subspace, alt_incidence_dim, enumerate_grassmannian, gauss_binom
+from multilin.grassmann import (
+    Subspace,
+    alt_incidence_dim,
+    enumerate_grassmannian,
+    gauss_binom,
+    rank,
+)
 from multilin.isotropy import (
     alpha_alt,
     alpha_alt_by_scan,
@@ -28,6 +34,7 @@ from multilin.tensor import (
     AltTensor,
     Tensor,
     alt_restricts_zero,
+    alt_wedge_rows,
     base_change,
     random_tensor,
     restrict_zero,
@@ -229,7 +236,7 @@ def test_certificate_cut_by_the_cap_keeps_the_dfs_witness(monkeypatch):
     T = random_tensor(F3, 5, 3, 2, "alt", seed=3)
     full = alpha_alt(T)
     assert decided and full.exhausted
-    # the decisive certificate scans all 121 hyperplanes, and is the last
+    # the decisive certificate charges all 121 hyperplanes, and is the last
     # work: a cap anywhere in that block cuts it, one visit past the cap
     block = gauss_binom(5, 4, 3)
     assert full.visits > block
@@ -334,6 +341,104 @@ def test_alpha_alt_walk_pins(key):
     assert got == WALK_PINS[key]
 
 
+def _walked_dimensions(monkeypatch):
+    """The dimensions k whose Gr(k, n) the row-prefix walk is asked for."""
+    walked = []
+    isotropic = isotropy._AltSearch.isotropic
+    monkeypatch.setattr(
+        isotropy._AltSearch, "isotropic", lambda s, k: walked.append(k) or isotropic(s, k)
+    )
+    return walked
+
+
+# (q, n, d, m, seed, cap) -> (index, exhausted, visits, witness rows),
+# recorded while hyperplanes were still scanned.  Each map has index n - 2
+# and no isotropic hyperplane, so the search ends on one charge of all of
+# Gr(n - 1, n): the caps fall before it, at its first step, inside it, one
+# short of its end, at its end and past it.
+HYPERPLANE_PINS = {
+    (2, 6, 3, 1, 1, DEFAULT_CAP): (4, True, 72, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 8): (4, False, 9, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 9): (4, False, 10, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 41): (4, False, 42, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 71): (4, False, 72, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 72): (4, True, 72, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (2, 6, 3, 1, 1, 73): (4, True, 72, (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1))),
+    (3, 5, 3, 2, 3, DEFAULT_CAP): (3, True, 123, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (3, 5, 3, 2, 3, 1): (2, False, 2, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
+    (3, 5, 3, 2, 3, 2): (3, False, 3, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (3, 5, 3, 2, 3, 63): (3, False, 64, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (3, 5, 3, 2, 3, 122): (3, False, 123, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (3, 5, 3, 2, 3, 123): (3, True, 123, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (3, 5, 3, 2, 3, 124): (3, True, 123, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))),
+    (4, 5, 3, 2, 3, DEFAULT_CAP): (3, True, 343, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (4, 5, 3, 2, 3, 1): (2, False, 2, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0))),
+    (4, 5, 3, 2, 3, 2): (3, False, 3, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (4, 5, 3, 2, 3, 173): (3, False, 174, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (4, 5, 3, 2, 3, 342): (3, False, 343, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (4, 5, 3, 2, 3, 343): (3, True, 343, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+    (4, 5, 3, 2, 3, 344): (3, True, 343, ((2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HYPERPLANE_PINS))
+def test_hyperplane_certificate_pins(monkeypatch, key):
+    q, n, d, m, seed, cap = key
+    T = random_tensor(field_of_order(q), n, d, m, "alt", seed=seed)
+    assert rank(T.field, alt_wedge_rows(T)) == n  # no phi with phi ^ T = 0
+    walked = _walked_dimensions(monkeypatch)
+    result = alpha_alt(T, cap)
+    got = (result.index, result.exhausted, result.visits, result.witness[0].rows)
+    assert got == HYPERPLANE_PINS[key]
+    assert n - 1 not in walked  # decided by the rank, not by the scan
+
+
+# (q, n, d, m, coefficients, cap) -> as above, recorded the same way: each
+# map has an isotropic hyperplane, placed in the enumeration after a
+# frontier subtree stopped at n - 2, and the DFS goes on to its own first
+# witness; the caps fall inside the charge up to that place, one short of
+# the whole search and at it
+ISOTROPIC_HYPERPLANE_PINS = {
+    (2, 5, 3, 1, (0, 1, 0, 0, 1, 0, 0, 0, 0, 0), DEFAULT_CAP): (4, True, 518, (
+        (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+    (2, 5, 3, 1, (0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 259): (3, False, 260, (
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (2, 5, 3, 1, (0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 517): (3, False, 518, (
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (2, 5, 3, 1, (0, 1, 0, 0, 1, 0, 0, 0, 0, 0), 518): (4, True, 518, (
+        (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))),
+    (3, 5, 3, 2, (0, 0, 1, 1, 0, 0, 0, 0, 0, 2) + (0,) * 10, DEFAULT_CAP): (4, True, 166, (
+        (1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))),
+    (3, 5, 3, 2, (0, 0, 1, 1, 0, 0, 0, 0, 0, 2) + (0,) * 10, 83): (3, False, 84, (
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 3, 2, (0, 0, 1, 1, 0, 0, 0, 0, 0, 2) + (0,) * 10, 165): (3, False, 166, (
+        (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))),
+    (3, 5, 3, 2, (0, 0, 1, 1, 0, 0, 0, 0, 0, 2) + (0,) * 10, 166): (4, True, 166, (
+        (1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(ISOTROPIC_HYPERPLANE_PINS), ids=range(len(ISOTROPIC_HYPERPLANE_PINS))
+)
+def test_isotropic_hyperplane_pins(monkeypatch, key):
+    q, n, d, m, coeffs, cap = key
+    T = AltTensor(field_of_order(q), n, d, m, coeffs)
+    assert rank(T.field, alt_wedge_rows(T)) < n  # some hyperplane is isotropic
+    walked = _walked_dimensions(monkeypatch)
+    result = alpha_alt(T, cap)
+    got = (result.index, result.exhausted, result.visits, result.witness[0].rows)
+    assert got == ISOTROPIC_HYPERPLANE_PINS[key]
+    assert n - 1 not in walked  # the first hit is read off the null space
+
+
 @pytest.mark.parametrize("q, n, d, m", [
     (2, 5, 3, 1), (3, 4, 3, 2), (4, 4, 2, 1), (2, 6, 4, 1), (5, 3, 3, 1), (3, 3, 1, 1),
 ])
@@ -376,15 +481,23 @@ def test_alpha_field_alt_exhaustive_values():
     assert result.value <= alpha_bound(4, 2, 1)
 
 
+# (value, tensors_scanned, searched, certified), recorded before the scan
+# drew only the maps led by encoded 1: (3, 2, 3) breaks at the floor early,
+# and at (n, d) = (2, 3) the zero map is the only one
 @pytest.mark.parametrize("q, n, d, m, expected", [
-    (2, 4, 2, 1, (2, 64)),
-    (3, 4, 3, 1, (3, 81)),
-    (5, 3, 2, 1, (2, 125)),
+    (2, 4, 2, 1, (2, 64, 6, 57)),
+    (3, 4, 3, 1, (3, 81, 4, 36)),
+    (5, 3, 2, 1, (2, 125, 6, 25)),
+    (2, 3, 2, 1, (2, 8, 3, 4)),
+    (2, 3, 2, 3, (1, 85, 8, 76)),
+    (3, 3, 2, 3, (1, 820, 14, 441)),
+    (2, 2, 3, 1, (2, 1, 0, 0)),
+    (3, 2, 3, 2, (2, 1, 0, 0)),
 ])
 def test_alpha_field_alt_pins(q, n, d, m, expected):
     result = alpha_field_alt(field_of_order(q), n, d, m)
     assert result.exhaustive
-    assert (result.value, result.tensors_scanned) == expected
+    assert (result.value, result.tensors_scanned, result.searched, result.certified) == expected
 
 
 def _field_min_by_scan(F, n, d, m):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from multilin.errors import CapExceededError, PreconditionError
 from multilin.field import embed, field_make, field_of_order
-from multilin.grassmann import Subspace
+from multilin.grassmann import Subspace, enumerate_grassmannian, kernel_basis, rref, span_points
 from multilin.tensor import (
     AltTensor,
     Tensor,
@@ -13,6 +13,7 @@ from multilin.tensor import (
     alt_eval,
     alt_minors,
     alt_restricts_zero,
+    alt_wedge_rows,
     base_change,
     expand,
     random_tensor,
@@ -157,6 +158,30 @@ def test_alt_minors_match_the_leibniz_determinant(data):
             for cols in itertools.combinations(range(n), d)
         ]
         assert list(minors) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wedge_rows_cut_out_the_isotropic_hyperplanes(data):
+    # T vanishes on ker phi iff phi ^ T = 0: the null space of the wedge
+    # rows, as projective points, is the set of annihilators of the
+    # hyperplanes on which T vanishes; zero-heavy maps make both common
+    F = data.draw(st.sampled_from((F2, F3, F4, F5, field_make(7))))
+    n = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 3))
+    size = m * len(list(itertools.combinations(range(n), d)))
+    elem = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    T = AltTensor(F, n, d, m, data.draw(st.lists(elem, min_size=size, max_size=size)))
+    rows = alt_wedge_rows(T)
+    assert len(rows) == m * len(list(itertools.combinations(range(n), d + 1)))
+    null = set(span_points(F, rref(F, kernel_basis(F, rows, n))[0]))
+    isotropic = {
+        Subspace.span(F, n, kernel_basis(F, W.rows, n)).rows[0]
+        for W in enumerate_grassmannian(F, n, n - 1)
+        if alt_restricts_zero(T, W)
+    }
+    assert null == isotropic
 
 
 def test_expand_small_antisymmetric_matrix():
