@@ -704,7 +704,7 @@ def alpha_field_alt(
         check_cap_bits(ncoef * (field.q.bit_length() - 1), DEFAULT_TENSOR_CAP, what)
         check_cap(field.q**ncoef, DEFAULT_TENSOR_CAP, what)
         maps = _leading_one_maps(field, ncoef)
-        total = field.q**ncoef
+        scanned = field.q**ncoef
     else:
         from .prng import SplitMix64
 
@@ -712,9 +712,8 @@ def alpha_field_alt(
         maps = enumerate(
             (tuple(rng.below(field.q) for _ in range(ncoef)) for _ in range(samples)), 1
         )
-        total = samples
+        scanned = samples
     best = n  # the zero map's index
-    scanned = total
     searched = certified = visits = 0
     pool = []  # vanishing tests of witnesses, the most recent certifier first
     for place, coeffs in maps:
