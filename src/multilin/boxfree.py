@@ -378,8 +378,7 @@ def pigeonhole_search(
         raise PreconditionError("need n >= 2 and d >= 2")
     if not admissible(n, d, m):
         raise PreconditionError(
-            f"inadmissible parameters: m(2^d - 1) = {m * (2 ** d - 1)} "
-            f">= (n-1)d = {(n - 1) * d}"
+            f"inadmissible parameters: m(2^d - 1) >= (n-1)d at n = {n}, d = {d}, m = {m}"
         )
     n1 = n + 1
     q = field.q

@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from . import acceptance, boxfree, formulas, grassmann, isotropy, rank
 from .errors import DEFAULT_CAP, CapExceededError, InvariantViolation, PreconditionError
 from .field import field_make, field_of_order
-from .tensor import KINDS, base_change, random_tensor, tensor_from_dict
+from .tensor import KINDS, base_change, comb_bits, random_tensor, tensor_from_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,10 +142,10 @@ def _extend(T, r: int):
     return T
 
 
-def _decimal(count: int) -> str:
-    """``str(count)``; a count past the interpreter's int-to-str limit (4300
-    digits by default; it also guards the JSON reader) is a precondition
-    error."""
+def _decimal(count) -> str:
+    """``str(count)``, for an int or a Fraction; a count past the
+    interpreter's int-to-str limit (4300 digits by default; it also guards
+    the JSON reader) is a precondition error."""
     try:
         return str(count)
     except ValueError:
@@ -191,7 +191,15 @@ def _generic(value) -> dict:
 
 def _box_exponent(args) -> dict:
     exponent, admissible = formulas.box_exponent(args.n, args.d, args.m)
-    return {**_generic(str(exponent)), "admissible": admissible}
+    return {**_generic(_decimal(exponent)), "admissible": admissible}
+
+
+def _fp(args) -> dict:
+    # the value is at least m C(k, d) / k: a huge one is refused unformed
+    bits = comb_bits(args.k, args.d)
+    if bits >= 0:
+        _refuse_past_digit_limit(2, bits + args.m.bit_length() - args.k.bit_length() - 1)
+    return formulas.fp_number(args.d, args.m, args.k, args.char_zero)._asdict()
 
 
 # quantity -> (the flags it reads, evaluator of the document's value fields)
@@ -201,7 +209,7 @@ FORMULAS = {
         "n d m char_zero",
         lambda a: formulas.alpha_alt_closed(a.n, a.d, a.m, a.char_zero)._asdict(),
     ),
-    "fp": ("d m k char_zero", lambda a: formulas.fp_number(a.d, a.m, a.k, a.char_zero)._asdict()),
+    "fp": ("d m k char_zero", _fp),
     "turan": (
         "n d k char_zero",
         lambda a: formulas.turan_number(a.n, a.d, a.k, a.char_zero)._asdict(),
@@ -216,7 +224,9 @@ def cmd_formula(args) -> int:
     flags, evaluate = FORMULAS[args.quantity]
     # every flag read, but --char-zero only when given
     params = {name: value for name in flags.split() if (value := getattr(args, name)) is not False}
-    return _emit(args, params, {"quantity": args.quantity, **evaluate(args)})
+    payload = evaluate(args)
+    _decimal(payload["value"])  # the JSON writer refuses an int past the digit limit
+    return _emit(args, params, {"quantity": args.quantity, **payload})
 
 
 # ---------------------------------------------------------------------------

@@ -477,44 +477,22 @@ def field_of_order(q: int) -> Field:
 # ---------------------------------------------------------------------------
 
 
-class _Embedding:
-    __slots__ = ("src", "dst", "powers", "_map")
-
-    def __init__(self, src: Field, dst: Field):
-        root = None
-        for cand in dst.elements():
-            # evaluate the source modulus at cand via Horner
-            acc = dst.scalar(src.modulus[-1])
-            for c in reversed(src.modulus[:-1]):
-                acc = dst.add(dst.mul(acc, cand), dst.scalar(c))
-            if acc == 0:
-                root = cand  # first hit = lexicographically smallest root
-                break
-        if root is None:  # pragma: no cover - subfield always yields roots
-            raise InvariantViolation("source modulus has no root in target")
-        powers = [dst.one]
-        for _ in range(1, src.e):
-            powers.append(dst.mul(powers[-1], root))
-        self.src = src
-        self.dst = dst
-        self.powers = powers
-        self._map = {}
-
-    def __call__(self, a: int) -> int:
-        out = self._map.get(a)
-        if out is None:
-            dst = self.dst
-            out = 0
-            for c, rho in zip(self.src.coeffs(a), self.powers):
-                if c:
-                    out = dst.add(out, dst.mul(dst.scalar(c), rho))
-            self._map[a] = out
-        return out
-
-
 @functools.lru_cache(maxsize=None)
-def _embedding(src: Field, dst: Field) -> _Embedding:
-    return _Embedding(src, dst)
+def _embedding(src: Field, dst: Field) -> tuple:
+    """The images in dst of all elements of src, by code: the generator of
+    src goes to the first root of src's modulus in dst's element order.
+    Under the order cap a proper subfield has at most 2^10 elements."""
+
+    def at(x: int, coeffs) -> int:  # sum c_i x^i in dst, by Horner
+        acc = 0
+        for c in reversed(coeffs):
+            acc = dst.add(dst.mul(acc, x), dst.scalar(c))
+        return acc
+
+    root = next((x for x in dst.elements() if at(x, src.modulus) == 0), None)
+    if root is None:  # pragma: no cover - subfield always yields roots
+        raise InvariantViolation("source modulus has no root in target")
+    return tuple(at(root, src.coeffs(a)) for a in src.elements())
 
 
 def is_extension(src: Field, dst: Field) -> bool:
@@ -529,7 +507,7 @@ def embedding_map(src: Field, dst: Field):
         )
     if src == dst:
         return lambda a: a
-    return _embedding(src, dst)
+    return _embedding(src, dst).__getitem__
 
 
 def embed(a: int, src: Field, dst: Field) -> int:

@@ -21,6 +21,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, PreconditionError
+from .tensor import comb_bits
 
 
 class ClosedForm(NamedTuple):
@@ -32,18 +33,50 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _at_least(a: int, m: int, s: int, d: int) -> bool:
+    """a >= m * C(s, d) for a >= 0, with C(s, d) formed only when its lower
+    bound 2^b (``tensor.comb_bits``) leaves the comparison open."""
+    bits = comb_bits(s, d)
+    if bits >= 0 and bits + m.bit_length() - 1 >= a.bit_length():
+        return False  # m * C(s, d) >= 2^(bit length of a) > a
+    return a >= m * comb(s, d)
+
+
 def alpha_bound(n: int, d: int, m: int) -> int:
     """Largest s in [0, n] with s(n-s) >= m * C(s, d).
 
     This is the dimension-count threshold; for m >= 2 over algebraically
-    closed fields it equals the isotropy index of alternating maps.
+    closed fields it equals the isotropy index of alternating maps.  The
+    inequality holds for s < d, and on d <= s <= n the ratio
+    s(n-s) / C(s, d) never increases (consecutive terms have ratio
+    (n-s-1)(s+1-d) / (s(n-s)) <= 1), so it holds exactly on a prefix of
+    [0, n], found by bisection.
     """
     if n < 1 or d < 1 or m < 1:
         raise PreconditionError("need n, d, m >= 1")
-    for s in range(n, -1, -1):
-        if s * (n - s) >= m * comb(s, d):
-            return s
-    raise InvariantViolation("s = 0 always qualifies")  # pragma: no cover
+    lo, hi = 0, n  # the inequality holds at lo; hi bounds the answer
+    while lo < hi:
+        s = (lo + hi + 1) // 2
+        if _at_least(s * (n - s), m, s, d):
+            lo = s
+        else:
+            hi = s - 1
+    return lo
+
+
+def _exceptional_row(n: int, d: int) -> Optional[tuple]:
+    """The exceptional row of the m = 1 table at (n, d), as (name, index),
+    or None: there the characteristic-0 isotropy index sits below the
+    generic count."""
+    if d == 2:
+        # a form's rank r is even: its radical and a Lagrangian of the
+        # quotient span an isotropic subspace of dimension n - r/2
+        return "d=2", (n + 1) // 2
+    if (d, n) == (3, 7):
+        return "(3,7)", 4
+    if d == n - 2 and d % 2 == 0:
+        return "d=n-2-even", n - 2
+    return None
 
 
 def alpha_alt_closed(n: int, d: int, m: int, char_zero: bool = False) -> ClosedForm:
@@ -62,15 +95,10 @@ def alpha_alt_closed(n: int, d: int, m: int, char_zero: bool = False) -> ClosedF
             "m = 1 closed form is asserted only in characteristic 0; "
             "pass char_zero=True"
         )
-    if d == 2:
-        # a form's rank r is even: its radical and a Lagrangian of the
-        # quotient span an isotropic subspace of dimension n - r/2
-        return ClosedForm((n + 1) // 2, "exceptional:d=2")
-    if (d, n) == (3, 7):
-        return ClosedForm(4, "exceptional:(3,7)")
-    if d == n - 2 and d % 2 == 0:
-        return ClosedForm(n - 2, "exceptional:d=n-2-even")
-    return ClosedForm(alpha_bound(n, d, 1), "generic")
+    row = _exceptional_row(n, d)
+    if row is None:
+        return ClosedForm(alpha_bound(n, d, 1), "generic")
+    return ClosedForm(row[1], f"exceptional:{row[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +137,6 @@ def fp_number(d: int, m: int, k: int, char_zero: bool = False) -> ClosedForm:
     raise InvariantViolation("exceptional rows are isolated")  # pragma: no cover
 
 
-def _turan_exceptional(n: int, d: int, k: int) -> Optional[str]:
-    if d == 2 and (n + 1) // 2 <= k:
-        return "d=2"
-    if (d, n) == (3, 7) and 4 <= k:
-        return "(3,7)"
-    if d == n - 2 and n % 2 == 0 and n - 2 <= k:
-        return "d=n-2-even"
-    return None
-
-
 def turan_number(n: int, d: int, k: int, char_zero: bool = False) -> ClosedForm:
     """Least codomain dimension r forcing the isotropy index of
     Alt^d(F^n, F^r) down to at most k (F algebraically closed).
@@ -135,20 +153,21 @@ def turan_number(n: int, d: int, k: int, char_zero: bool = False) -> ClosedForm:
     if k >= n:
         # the index never exceeds n, so r = 1 already qualifies
         return ClosedForm(1, "trivial")
-    if comb(k + 1, d) == 0:
+    if k + 1 < d:  # C(k + 1, d) = 0
         raise PreconditionError(
             "no finite value: every alternating map has an isotropic "
             f"subspace of dimension min(d-1, n) = {min(d - 1, n)} > k = {k}"
         )
-    which = _turan_exceptional(n, d, k)
-    if which is not None:
+    row = _exceptional_row(n, d)
+    if row is not None and row[1] <= k:
         if not char_zero:
             raise PreconditionError(
-                f"exceptional case ({which}) requires characteristic 0; "
+                f"exceptional case ({row[0]}) requires characteristic 0; "
                 "pass char_zero=True"
             )
-        return ClosedForm(1, f"exceptional:{which}")
-    value = max(0, (k + 1) * (n - k - 1) // comb(k + 1, d)) + 1
+        return ClosedForm(1, f"exceptional:{row[0]}")
+    a = (k + 1) * (n - k - 1)  # >= 0, as k < n
+    value = a // comb(k + 1, d) + 1 if _at_least(a, 1, k + 1, d) else 1
     return ClosedForm(value, "generic")
 
 
@@ -223,7 +242,9 @@ def has_plane_isotropy(n: int, d: int, m: int) -> bool:
     equivalent to d(n-2) >= m * 2^(d-1)."""
     if n < 1 or d < 1 or m < 2:
         raise PreconditionError("need n, d >= 1 and m >= 2")
-    return d * (n - 2) >= m * 2 ** (d - 1)
+    a = d * (n - 2)
+    # m * 2^(d-1) > a once 2^(d-1) is: the power is formed only when small
+    return a >= 0 and a.bit_length() > d - 1 and a >= m << (d - 1)
 
 
 class BoxExponent(NamedTuple):
@@ -236,6 +257,7 @@ def box_exponent(n: int, d: int, m: int) -> BoxExponent:
     with its admissibility condition d(n-1) > (2^d - 1) m."""
     if n < 1 or d < 1 or m < 0:
         raise PreconditionError("need n, d >= 1 and m >= 0")
-    return BoxExponent(
-        Fraction(d * n - m, n), d * (n - 1) > (2**d - 1) * m
-    )
+    a = d * (n - 1)
+    # (2^d - 1) m > a once 2^(d-1) is: the power is formed only when small
+    admissible = a > 0 if m == 0 else a.bit_length() >= d and a > ((1 << d) - 1) * m
+    return BoxExponent(Fraction(d * n - m, n), admissible)

@@ -388,6 +388,18 @@ def gauss_binom_capped(n: int, k: int, q: int, cap: int) -> int:
     return count
 
 
+def rref_choices(field: Field, n: int, pivots: Sequence[int]) -> list:
+    """Per RREF row of a subspace of F^n with these pivot columns, the
+    values each entry can take: one at the row's pivot, zero before it and
+    at the other pivots, any element elsewhere.  The product of the rows'
+    products lists the subspaces in :func:`enumerate_grassmannian`'s order."""
+    one, zero, anything = (field.one,), (0,), field.elements()
+    return [
+        [one if j == p else zero if j < p or j in pivots else anything for j in range(n)]
+        for p in pivots
+    ]
+
+
 def enumerate_grassmannian(
     field: Field, n: int, k: int, cap: int = DEFAULT_CAP
 ) -> Iterator[Subspace]:
@@ -395,22 +407,10 @@ def enumerate_grassmannian(
     if not 0 <= k <= n:
         raise PreconditionError(f"need 0 <= k <= n, got k={k}, n={n}")
     gauss_binom_capped(n, k, field.q, cap)
-    one = field.one
     for pivots in itertools.combinations(range(n), k):
-        pivset = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivset
-        ]
-        for values in itertools.product(field.elements(), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i in range(k):
-                rows[i][pivots[i]] = one
-            for (i, j), val in zip(free, values):
-                rows[i][j] = val
-            yield Subspace(field, n, tuple(tuple(r) for r in rows), pivots)
+        rows = [itertools.product(*row) for row in rref_choices(field, n, pivots)]
+        for chosen in itertools.product(*rows):
+            yield Subspace(field, n, chosen, pivots)
 
 
 def intersection_dim(U: Subspace, V: Subspace) -> int:
@@ -490,37 +490,18 @@ def hom_incidence_dim(n: int, d: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def interpolate_coeffs(samples: Sequence[tuple]) -> list:
-    """Coefficients (Fraction, ascending degree) of the unique polynomial of
-    degree < len(samples) through the given (x, y) points."""
+def interpolated_degree(samples: Sequence[tuple]) -> int:
+    """Degree of the polynomial of degree < len(samples) through the given
+    (x, y) points (-1 for the zero polynomial); the caller must supply at
+    least degree + 1 of them.  In Newton form sum_j c_j prod_{i<j} (x - x_i)
+    term j has degree j and leading coefficient c_j, the j-th divided
+    difference, so the degree is the last j with c_j != 0."""
     xs = [Fraction(x) for x, _ in samples]
-    ys = [Fraction(y) for _, y in samples]
+    newton = [Fraction(y) for _, y in samples]
     npts = len(xs)
     if len(set(xs)) != npts:
         raise PreconditionError("interpolation nodes must be distinct")
-    newton = ys[:]
     for j in range(1, npts):
         for i in range(npts - 1, j - 1, -1):
             newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * npts
-    basis = [Fraction(1)] + [Fraction(0)] * (npts - 1)
-    for i in range(npts):
-        for t in range(i + 1):
-            poly[t] += newton[i] * basis[t]
-        if i + 1 < npts:
-            shifted = [Fraction(0)] * npts
-            for t in range(i + 1):
-                shifted[t + 1] += basis[t]
-                shifted[t] -= xs[i] * basis[t]
-            basis = shifted
-    return poly
-
-
-def interpolated_degree(samples: Sequence[tuple]) -> int:
-    """Degree of the interpolating polynomial (-1 for the zero polynomial).
-    The caller must supply at least degree+1 sample points."""
-    poly = interpolate_coeffs(samples)
-    for i in range(len(poly) - 1, -1, -1):
-        if poly[i]:
-            return i
-    return -1
+    return max((j for j, c in enumerate(newton) if c), default=-1)

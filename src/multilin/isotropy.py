@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterator, Optional
 
 from .errors import (
@@ -95,6 +95,7 @@ from .grassmann import (
     leaf_rank,
     leaf_subspaces,
     rref,
+    rref_choices,
     span_points,
 )
 from .tensor import (
@@ -279,19 +280,11 @@ class _AltSearch:
         takes; the walk ends when the budget runs out."""
         field, n = self.field, self.n
         for pivots in itertools.combinations(range(n), k):
-            # a row is one at its pivot, zero before it and at the other pivots
-            # and free elsewhere: its choices are the product of its columns
-            columns = [
-                [(field.one,) if j == p else (0,) if j < p or j in pivots else field.elements()
-                 for j in range(n)]
-                for p in pivots
-            ]
-            # the completions of a choice of row i: row r > i has n - 1 - p
-            # columns after its pivot p, k - 1 - r of them pivots
-            later = [
-                field.q ** sum(n - k + r - p for r, p in enumerate(pivots) if r > i)
-                for i in range(k)
-            ]
+            # a row's choices are the product of its columns
+            columns = rref_choices(field, n, pivots)
+            counts = [prod(map(len, row)) for row in columns]
+            # the completions of a choice of row i: the later rows' choices
+            later = [prod(counts[i + 1 :]) for i in range(k)]
             yield from self._completions(pivots, columns, later, (), {(): self.dense})
             if not self.exhausted:
                 return
@@ -555,9 +548,6 @@ def alpha_hom(T: Tensor, k: int, cap: int = DEFAULT_CAP) -> HomIsotropyResult:
     field, n = T.field, T.n
     if not 0 <= k <= n:
         raise PreconditionError(f"need 0 <= k <= n, got k={k}")
-    if k == 0:
-        zero = Subspace.zero(field, n)
-        return HomIsotropyResult(True, (zero,) * T.d, True)
     subs = list(enumerate_grassmannian(field, n, k, cap=cap))
     try:
         tup = next(_isotropic_tuples(T, subs, k, cap), None)
@@ -681,9 +671,10 @@ def alpha_field_alt(
 ) -> FieldAlphaResult:
     """min over T in Alt^d(F^n, F^m) of alpha_alt(T): exact when the full
     coefficient space fits ``DEFAULT_TENSOR_CAP``, otherwise a sampled upper
-    bound (requires an explicit ``samples`` count, at least one).  Maps with
-    more than ``DEFAULT_CAP`` coefficients are refused, and so is a huge
-    space before its size is formed.
+    bound (requires an explicit ``samples`` count, from one up to
+    ``DEFAULT_TENSOR_CAP``).  Maps with more than ``DEFAULT_CAP``
+    coefficients are refused, and so is a huge space before its size is
+    formed.
 
     Each search's witness W has dim W >= the running minimum, so a later
     map that vanishes on W cannot lower it and is not searched.  Witnesses
@@ -694,8 +685,10 @@ def alpha_field_alt(
     when the maps vanishing on it, m * (C(n, d) - C(dim W, d)) dimensions
     of them, are more than one scalar class."""
     ncoef = AltTensor.coeff_count_capped(n, d, m, DEFAULT_CAP)  # checks the shape
-    if samples is not None and samples < 1:
-        raise PreconditionError(f"need samples >= 1, got {samples}")
+    if samples is not None:
+        if samples < 1:
+            raise PreconditionError(f"need samples >= 1, got {samples}")
+        check_cap(samples, DEFAULT_TENSOR_CAP, "sampled tensor scan")
     if not ncoef:  # n <= d - 1: the zero map alone, its index n the floor
         return FieldAlphaResult(n, samples is None, 1, 0, 0)
     floor_value = min(d - 1, n)
@@ -787,10 +780,9 @@ def count_alt_incidence_raw(
     q = field.q
     # q^(ncoef - 1) maps up to scalar or more, times [n, k]_q >= q^(k(n-k))
     # subspaces: a huge scan is refused before q^ncoef is formed, and one
-    # with ncoef >= m * (n // d)^d >= 2^t before C(n, d) is
-    if n >= d:
-        t = min(d * ((n // d).bit_length() - 1) + m.bit_length() - 1, 64)
-        check_cap_bits(((1 << t) - 1) * (q.bit_length() - 1), cap, "raw incidence scan")
+    # with ncoef >= 2^t (AltTensor.coeff_bits) before C(n, d) is
+    t = max(0, min(AltTensor.coeff_bits(n, d, m), 64))
+    check_cap_bits(((1 << t) - 1) * (q.bit_length() - 1), cap, "raw incidence scan")
     ncoef = m * comb(n, d)
     bits = (max(ncoef - 1, 0) + k * (n - k)) * (q.bit_length() - 1)
     check_cap_bits(bits, cap, "raw incidence scan")

@@ -87,12 +87,20 @@ def _contract_slot(field: Field, flat, m: int, n: int, d: int, v, slot: int) -> 
     return out
 
 
+def comb_bits(n: int, d: int) -> int:
+    """A lower bound on C(n, d).bit_length() - 1, so C(n, d) >= 2^b when
+    b >= 0 and C(n, d) = 0 when b = -1, read off n and d without forming
+    C(n, d): with t = min(d, n - d), C(n, d) = C(n, t) >= (n // t)^t."""
+    t = min(d, n - d)
+    return t * ((n // max(t, 1)).bit_length() - 1) if t >= 0 else -1
+
+
 class _Map:
     """The body both map kinds share: a field, the shape (n, d, m) and a
     tuple of coefficients, m times the kind's count per output coordinate.
     A kind class gives only its ``kind``, that count, ``_per_output(n,
-    d)``, and ``_base(n, d)``, a b with b^d no more than the count; maps of
-    different kinds never compare equal."""
+    d)``, and ``_per_output_bits(n, d)``, a lower bound on its bit length
+    less one; maps of different kinds never compare equal."""
 
     __slots__ = ("field", "n", "d", "m", "coeffs")
 
@@ -103,15 +111,20 @@ class _Map:
         return m * cls._per_output(n, d)
 
     @classmethod
+    def coeff_bits(cls, n: int, d: int, m: int) -> int:
+        """A lower bound on the bit length less one of :meth:`coeff_count`
+        (-1 when the count is 0), read off the shape without forming the
+        count."""
+        check_shape(n, d, m)
+        bits = cls._per_output_bits(n, d)
+        return bits + m.bit_length() - 1 if bits >= 0 else -1
+
+    @classmethod
     def coeff_count_capped(cls, n: int, d: int, m: int, cap: int) -> int:
         """:meth:`coeff_count`, refused past the cap.  A huge count is
-        refused before it is formed, by the lower bound m * b^d, b the
-        kind's ``_base(n, d)``."""
-        check_shape(n, d, m)
+        refused before it is formed, by :meth:`coeff_bits`."""
         what = f"{cls.kind} map (F^{n})^{d} -> F^{m}"
-        base = cls._base(n, d)
-        if base:
-            check_cap_bits(d * (base.bit_length() - 1) + m.bit_length() - 1, cap, what)
+        check_cap_bits(cls.coeff_bits(n, d, m), cap, what)
         count = cls.coeff_count(n, d, m)
         check_cap(count, cap, what)
         return count
@@ -168,8 +181,8 @@ class Tensor(_Map):
     _per_output = staticmethod(pow)  # n^d
 
     @staticmethod
-    def _base(n: int, d: int) -> int:
-        return n  # n^d
+    def _per_output_bits(n: int, d: int) -> int:
+        return d * (n.bit_length() - 1) if n else -1
 
 
 class AltTensor(_Map):
@@ -181,9 +194,7 @@ class AltTensor(_Map):
 
     _per_output = staticmethod(comb)  # C(n, d)
 
-    @staticmethod
-    def _base(n: int, d: int) -> int:
-        return n // d  # C(n, d) >= (n / d)^d when n >= d, and is 0 below
+    _per_output_bits = staticmethod(comb_bits)
 
 
 # kind -> map class, as named in documents and by the CLI's --kind
@@ -430,6 +441,11 @@ def tensor_from_dict(data: dict) -> "Tensor | AltTensor":
         raise PreconditionError(f"unknown tensor kind {data.get('kind')!r}")
     if any(type(x) is not int for x in (n, d, m)):
         raise PreconditionError(f"n, d and m must be integers, got {n!r}, {d!r}, {m!r}")
+    if cls.coeff_bits(n, d, m) >= len(coeffs).bit_length():  # before the count is formed
+        raise PreconditionError(
+            f"the declared {cls.kind} shape has more than the document's "
+            f"{len(coeffs)} coefficients"
+        )
     q = field.q
     for c in coeffs:
         if type(c) is not int or not 0 <= c < q:

@@ -113,6 +113,13 @@ def test_grassmann_cap_exit_code(capsys, deadline):
     # C(n, d) has some 10^7 digits here: the scan is refused before it is formed
     pytest.param("isotropy incidence-alt --q 2 --n 100000000 --d 50000000 --m 1 "
                  "--k 100000000 --raw", id="incidence-alt-raw-huge-binomial"),
+    # d > n / 2: C(n, d) = C(n, n - d) >= (n // (n - d))^(n - d)
+    pytest.param("tensor random --q 2 --n 150000000 --d 100000000 --m 1 --kind alt",
+                 id="random-alt-d-above-half-n"),
+    pytest.param("isotropy alt --q 2 --n 150000000 --d 100000000 --m 1",
+                 id="alt-d-above-half-n"),
+    pytest.param("isotropy field-min --q 2 --n 150000000 --d 100000000 --m 1",
+                 id="field-min-d-above-half-n"),
 ])
 def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tmp_path,
                                                         deadline, argv):
@@ -121,6 +128,49 @@ def test_huge_work_is_refused_before_its_count_is_formed(capsys, monkeypatch, tm
     assert main(argv.split()) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "needs at least 2^" in captured.err
+
+
+@pytest.mark.parametrize("kind, n, d", [("hom", 10**5, 10**8), ("alt", 2 * 10**8, 10**8)])
+def test_tensor_file_with_a_huge_declared_shape_is_refused(capsys, tmp_path, deadline,
+                                                          kind, n, d):
+    doc = {"field": {"p": 2, "e": 1, "modulus": [0, 1]}, "kind": kind,
+           "n": n, "d": d, "m": 1, "coeffs": [0, 1]}
+    (tmp_path / "F.json").write_text(json.dumps(doc))
+    assert main(["tensor", "show", "--tensor", str(tmp_path / "F.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than the document's 2 coefficients" in captured.err
+
+
+def test_sampled_minimum_refuses_more_samples_than_the_tensor_cap(capsys, deadline):
+    argv = "isotropy field-min --q 2 --n 3 --d 2 --m 1 --samples 1000000000000"
+    assert main(argv.split()) == 3
+    assert "sampled tensor scan needs 1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, value", [
+    pytest.param("formula alpha-bound --n 1000000000 --d 3 --m 1", 0, 77458, id="alpha-bound"),
+    pytest.param("formula alpha-alt --n 1000000000 --d 3 --m 2", 0, 54772, id="alpha-alt"),
+    pytest.param("formula fp --d 3 --m 1 --k 1000000 --char-zero", 0, 166667166667,
+                 id="fp-char-zero"),
+    pytest.param("formula turan --n 1000000000000 --d 3 --k 5", 0, 299999999999, id="turan"),
+    pytest.param("formula iso2 --n 5 --d 100000000000 --m 2", 0, False, id="iso2"),
+    pytest.param("formula box-exponent --n 5 --d 10000000000 --m 1", 0, "49999999999/5",
+                 id="box-exponent"),
+    pytest.param("boxfree gen --q 2 --n 3 --d 10000000000 --m 1", 2, None,
+                 id="boxfree-gen-inadmissible"),
+    # the value has over 4300 digits: refused whole, before or after it is formed
+    pytest.param("formula fp --d 5000 --m 2 --k 50000", 2, None, id="fp-over-digit-limit"),
+    pytest.param("formula fp --d 500000000000 --m 2 --k 1000000000000", 2, None,
+                 id="fp-far-over-digit-limit"),
+    pytest.param(f"formula gq --n {10**3000} --d {10**2999}", 2, None, id="gq-over-digit-limit"),
+])
+def test_formulas_with_huge_arguments_finish(capsys, deadline, argv, code, value):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "precondition error" in captured.err
+    else:
+        assert json.loads(captured.out)["value"] == value
 
 
 def test_isotropy_incidence_alt_at_k_equals_n_is_zero_unformed(capsys, deadline):
@@ -658,6 +708,38 @@ def test_every_operation_exits_2_on_bad_input(capsys, monkeypatch, tmp_path, op)
     for i in range(0, len(flags), 2):
         argv = op.split() + flags[:i] + flags[i + 2 :]
         assert _exit_code(argv) in (0, 2), argv
+
+
+def _int_flags(op):
+    """The integer options of an operation, read off the parser."""
+    command, name = op.split()
+    sub = _subparsers(_subparsers(build_parser())[command])[name]
+    return sorted(o for a in sub._actions if a.type is int for o in a.option_strings)
+
+
+HUGE_INTEGER_CASES = [(op, flag) for op in sorted(OPERATIONS) for flag in _int_flags(op)]
+
+
+@pytest.mark.parametrize(
+    "op, flag", HUGE_INTEGER_CASES, ids=[f"{op} {flag}" for op, flag in HUGE_INTEGER_CASES]
+)
+def test_every_integer_flag_at_10_to_the_12_exits_cleanly(capsys, monkeypatch, tmp_path,
+                                                          deadline, op, flag):
+    # VALID[op] with one integer flag set, or added, at 10^12: the operation
+    # answers, refuses the input or refuses the work, and never hangs
+    monkeypatch.chdir(tmp_path)
+    free = {"d": 2, "parts": [[[0, 1], [1, 0]]] * 2, "edges": [[0, 0]]}
+    (tmp_path / "FREE.json").write_text(json.dumps(free))
+    assert main("tensor random --q 2 --n 2 --d 2 --m 1 --out T.json".split()) == 0
+    capsys.readouterr()
+    flags = VALID[op].split()
+    if flag in flags:
+        flags[flags.index(flag) + 1] = str(10**12)
+    else:
+        flags += [flag, str(10**12)]
+    code = _exit_code(op.split() + flags)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3) and "Traceback" not in captured.err, (code, captured.err)
 
 
 @pytest.mark.parametrize("argv", [

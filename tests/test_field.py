@@ -131,6 +131,21 @@ def test_embed_is_injective_homomorphism(p, e, r):
     assert sorted(images) == fixed
 
 
+# the images of F_a's elements in F_b, by code, under the canonical embedding
+EMBED_PINS = {
+    (2, 16): (0, 8),
+    (4, 16): (0, 5, 8, 13),
+    (3, 9): (0, 3, 6),
+    (9, 729): (0, 45, 63, 243, 288, 306, 486, 531, 549),
+}
+
+
+@pytest.mark.parametrize("a, b", sorted(EMBED_PINS))
+def test_embed_images_are_pinned(a, b):
+    src, dst = field_of_order(a), field_of_order(b)
+    assert tuple(embed(x, src, dst) for x in range(a)) == EMBED_PINS[a, b]
+
+
 def test_embed_rejects_non_extension():
     with pytest.raises(PreconditionError):
         embed(1, field_make(2, 2), field_make(2, 3))

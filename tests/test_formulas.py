@@ -33,6 +33,25 @@ def test_alpha_bound_bilinear_closed_form():
             assert alpha_bound(n, 2, m) == (2 * n + m) // (m + 2)
 
 
+def test_alpha_bound_bisection_matches_the_scan_down_from_n():
+    for n in range(1, 61):
+        for d in range(1, 9):
+            for m in range(1, 8):
+                scan = next(s for s in range(n, -1, -1) if s * (n - s) >= m * comb(s, d))
+                assert alpha_bound(n, d, m) == scan
+
+
+def test_huge_arguments_are_decided_without_forming_huge_numbers(deadline):
+    assert alpha_bound(10**9, 3, 1) == 77458
+    assert alpha_alt_closed(10**9, 3, 2).value == 54772
+    assert fp_number(3, 1, 10**6, char_zero=True) == (166667166667, "char0:generic")
+    # C(k + 1, d) is over 2^(k / 2) here; the quotient is 0 by its bound alone
+    assert turan_number(10**7, 10**6, 2 * 10**6) == (1, "generic")
+    assert turan_number(10**12, 3, 5) == (299999999999, "generic")
+    assert not has_plane_isotropy(5, 10**11, 2)
+    assert box_exponent(5, 10**10, 1).admissible is False
+
+
 def test_alpha_alt_closed_generic_equals_bound():
     for n in range(2, 20):
         for d in range(2, 5):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from multilin.grassmann import (
     kernel_basis,
     rank,
     rref,
+    rref_choices,
     stratum_count,
     stratum_dim,
     stratum_profile,
@@ -165,6 +168,30 @@ def test_interpolation_exactness():
     assert interpolated_degree([(1, 0), (2, 0)]) == -1
     with pytest.raises(PreconditionError):
         interpolated_degree([(1, 1), (1, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interpolated_degree_of_random_polynomials(data):
+    j = data.draw(st.integers(0, 6), label="degree")
+    lead = data.draw(st.integers(1, 40) | st.integers(-40, -1), label="leading coefficient")
+    coeffs = data.draw(st.lists(st.integers(-40, 40), min_size=j, max_size=j)) + [lead]
+    xs = data.draw(
+        st.lists(st.integers(-30, 30), min_size=j + 1, max_size=j + 4, unique=True), label="xs"
+    )
+    samples = [(x, sum(c * x**i for i, c in enumerate(coeffs))) for x in xs]
+    assert interpolated_degree(samples) == j
+    assert interpolated_degree([(x, 0) for x in xs]) == -1
+
+
+def test_rref_choices_list_the_grassmannian():
+    F = field_of_order(3)
+    choices = rref_choices(F, 4, (0, 2))
+    assert [[len(c) for c in row] for row in choices] == [[1, 3, 1, 3], [1, 1, 1, 3]]
+    assert [tuple(c) for c in choices[0]] == [(F.one,), (0, 1, 2), (0,), (0, 1, 2)]
+    subs = [S.rows for S in enumerate_grassmannian(F, 4, 2) if S.pivots == (0, 2)]
+    rows = [itertools.product(*row) for row in choices]
+    assert subs == list(itertools.product(*rows))
 
 
 vec3 = st.tuples(*[st.integers(min_value=0, max_value=2) for _ in range(3)])

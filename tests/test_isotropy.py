@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb
 
@@ -341,6 +342,37 @@ def test_alpha_alt_walk_pins(key):
     assert got == WALK_PINS[key]
 
 
+def _capped_runs():
+    """(index, exhausted, visits, witness rows) of alpha_alt on seeded maps,
+    uncapped and under caps spread over each search's visits.  The last two
+    shapes charge failing certificate row prefixes with all their
+    completions (the later rows' choice counts), and their caps fall on
+    and inside those charges."""
+    lines = []
+    for q, n, d, m, seeds, steps in [
+        (2, 5, 3, 1, (0, 1, 2), 12), (2, 6, 3, 1, (0, 1, 2), 12), (2, 6, 4, 1, (0, 1, 2), 12),
+        (3, 5, 3, 1, (0, 1, 2), 12), (3, 5, 2, 1, (0, 1, 2), 12), (4, 4, 2, 1, (0, 1, 2), 12),
+        (3, 4, 3, 2, (0, 1, 2), 12), (2, 5, 2, 2, (0, 1, 2), 12),
+        (2, 6, 3, 2, (0, 2), 40), (2, 7, 4, 1, (1, 2), 40),
+    ]:
+        for seed in seeds:
+            T = random_tensor(field_of_order(q), n, d, m, "alt", seed=seed)
+            visits = alpha_alt(T).visits
+            for cap in sorted({DEFAULT_CAP, *range(1, visits + 2, max(1, visits // steps))}):
+                r = alpha_alt(T, cap)
+                lines.append(f"{q} {n} {d} {m} {seed} {cap}: "
+                             f"{r.index} {r.exhausted} {r.visits} {r.witness[0].rows}")
+    return lines
+
+
+def test_alpha_alt_capped_runs_are_pinned():
+    # recorded when each failing row prefix was charged q^(its free entries after it)
+    lines = _capped_runs()
+    assert len(lines) == 482
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0523f6fc23a66beb35bf99ee933beec7d709a78ba942c0873ba2fd6a6cf2fe71"
+
+
 def _walked_dimensions(monkeypatch):
     """The dimensions k whose Gr(k, n) the row-prefix walk is asked for."""
     walked = []
@@ -614,6 +646,19 @@ def test_alpha_hom_zero_tensor():
     result = alpha_hom(Tensor.zero(F2, 3, 2, 1), 2)
     assert result.found and result.exhausted
     assert all(V.k == 2 for V in result.witness)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_alpha_hom_at_k_zero_is_the_zero_tuple(d):
+    # Gr(0, n) is the zero subspace alone, on which every map vanishes
+    for q in (2, 3):
+        F = field_of_order(q)
+        for n in range(4):
+            zero = Subspace.zero(F, n)
+            for T in (Tensor.zero(F, n, d, 2), random_tensor(F, n, d, 2, seed=n)):
+                result = alpha_hom(T, 0)
+                assert (result.found, result.exhausted) == (True, True)
+                assert result.witness == (zero,) * d
 
 
 def test_alpha_hom_identity_form_has_no_plane_pair():

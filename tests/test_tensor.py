@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from multilin.tensor import (
     alt_restricts_zero,
     alt_wedge_rows,
     base_change,
+    comb_bits,
     expand,
     random_tensor,
     restrict_zero,
@@ -281,6 +283,28 @@ def test_coeff_count_cap_refuses_exactly_the_counts_past_it(cls):
         if count:
             with pytest.raises(CapExceededError):
                 cls.coeff_count_capped(n, d, m, count - 1)
+
+
+def test_comb_bits_is_a_lower_bound_on_the_bit_length():
+    for n in range(70):
+        for d in range(-2, n + 3):
+            exact = comb(n, d).bit_length() - 1 if d >= 0 else -1
+            assert comb_bits(n, d) <= exact
+            assert (comb_bits(n, d) == -1) == (exact == -1)
+    for cls in (Tensor, AltTensor):
+        for n, d, m in itertools.product(range(13), range(1, 7), (1, 2, 3, 5)):
+            assert cls.coeff_bits(n, d, m) <= cls.coeff_count(n, d, m).bit_length() - 1
+
+
+@pytest.mark.parametrize("kind, n, d", [
+    ("hom", 10**5, 10**8),
+    ("alt", 2 * 10**8, 10**8),
+    ("alt", 15 * 10**7, 10**8),  # d > n / 2: C(n, d) = C(n, n - d)
+])
+def test_from_dict_refuses_a_declared_shape_past_its_coefficients_unformed(deadline, kind, n, d):
+    data = {"field": F2.to_dict(), "kind": kind, "n": n, "d": d, "m": 1, "coeffs": [0, 1, 0]}
+    with pytest.raises(PreconditionError, match="more than the document's 3 coefficients"):
+        tensor_from_dict(data)
 
 
 def test_random_tensor_regression_pins():
