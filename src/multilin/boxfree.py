@@ -14,9 +14,10 @@ The parts are listed by :func:`multilin.grassmann.projective_points`,
 whose order fixes the vertex indices.  The build is the plane-tuple slot
 walk of :mod:`multilin.isotropy` run over single points: each prefix of
 d - 1 points is contracted once, and the zero points of the last slot are
-the kernel's points, read by :func:`multilin.grassmann.leaf_points` in
-leaf form and indexed by the parts' points in that form (packed over
-F_2, so no row is unpacked).
+the kernel's points.  At d >= 3 their vertex indices are the set bits of
+the leaf's zero-set mask over the points; at d <= 2 they are read by
+:func:`multilin.grassmann.leaf_points` in leaf form and indexed by the
+parts' points in that form (packed over F_2, so no row is unpacked).
 Freeness is checked by link intersection: two part-0 vertices can only
 lie in a common box through link elements (the other d - 1 coordinates
 of an edge) they share, so the scan pairs edges with a shared tail and
@@ -49,14 +50,12 @@ from .grassmann import (
     Subspace,
     gauss_binom,
     gauss_binom_capped,
-    leaf_form,
-    leaf_points,
     projective_points,
     span_points,
 )
 from .isotropy import (
     DEFAULT_TENSOR_CAP,
-    _slot_walk,
+    _SlotWalk,
     count_plane_tuples,
     isotropic_plane_tuples,
 )
@@ -144,22 +143,23 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
 
     The plane-tuple slot walk runs over single points: each prefix of
     d - 1 points is contracted once, and the last slot's zero points are
-    the projective points of its kernel, in leaf form.  A prefix on which
-    T already vanishes takes every tail."""
+    the projective points of its kernel, whose vertex indices the walk
+    reads off its zero-set mask (d >= 3) or its ``leaf_points`` (d <= 2).
+    A prefix on which T already vanishes takes every tail."""
     if not isinstance(T, Tensor):
         raise PreconditionError("the hypergraph needs a dense multilinear tensor")
-    field, d = T.field, T.d
-    points = projective_points(field, T.n, cap)
+    d = T.d
+    points = projective_points(T.field, T.n, cap)
     npts = len(points)
     check_cap(npts**d, cap, "edge enumeration")
-    index = dict(zip(leaf_form(field, points), range(npts)))
     edges = []
-    for prefix, stack in _slot_walk(T, [(v,) for v in points], cap):
-        if stack is None:
+    for prefix, leaves in _SlotWalk(T, [(v,) for v in points], cap, points):
+        if leaves is None:
             tails = itertools.product(range(npts), repeat=d - len(prefix))
             edges.extend(prefix + tail for tail in tails)
-        else:
-            edges.extend(prefix + (index[v],) for v in leaf_points(field, stack, T.n))
+            continue
+        for head, places in leaves.points():
+            edges.extend(head + (v,) for v in places)
     return Hypergraph(d=d, parts=(tuple(points),) * d, edges=frozenset(edges))
 
 

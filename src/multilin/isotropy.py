@@ -62,17 +62,30 @@ prefix on which T vanishes (every later slot is then free), and reads the
 last slot off the joint kernel of the prefix's contractions instead of
 scanning it.  Contractions are memoised per tuple of basis rows, so each
 point tuple is contracted once per walk; a (d-1)-tuple's nonzero rows are
-kept in ``grassmann.leaf_form``, and the level above the leaves stacks
-them in one loop.  The tuple listings look the stack's ``leaf_subspaces``
-up in the subspace list by their rows in leaf form, the build reads its
-``leaf_points``, the count adds sizes from its ``leaf_rank`` alone, and
-the cap is charged one unit per node of the walk.
+kept in ``grassmann.leaf_form``, and the leaves below one node are handed
+out as one group.  At d <= 2 a leaf stacks those rows: the count adds
+sizes from their ``leaf_rank``, the build reads their ``leaf_points`` and
+the listings their ``leaf_subspaces``.  At d >= 3 a leaf is decided
+with no elimination, from int bitmasks over ``grassmann.projective_points``,
+one bit per point, when P^d fits the cap for P = |P(F^n)| (the walk
+then keeps at most P^(d-1) block masks and P zero sets of P bits each)
+and there are at least P bases (not for the one plane of F^2): each
+functional row's zero set is listed once per
+walk, by ``leaf_points`` of that row up to scalars, a block's mask is the
+AND of its rows' sets, and a leaf's kernel points are the AND of its
+blocks' masks, so the popcount (q^k - 1)/(q - 1) gives the kernel
+dimension k.  The count adds [k, 2]_q, the build reads vertex indices off
+the set bits, and the listings stack the rows only of leaves with enough
+dimension.  (At d <= 2 the walk has one group of leaves, so no zero set
+would be shared.)  The cap is charged one unit per node of the walk, and
+the plane-tuple listing is charged each tuple it lists as well.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 from typing import Iterator, Optional
 
@@ -92,8 +105,10 @@ from .grassmann import (
     iter_projective_points,
     kernel_basis,
     leaf_form,
+    leaf_points,
     leaf_rank,
     leaf_subspaces,
+    projective_points,
     rref,
     rref_choices,
     span_points,
@@ -450,80 +465,289 @@ def _leaf_rows(field: Field, block, m: int, n: int):
     return leaf_form(field, tuple(r for r in rows if any(r)))
 
 
-def _slot_walk(T: Tensor, bases: list, cap: int) -> Iterator[tuple]:
+class _SlotWalk:
     """Walk the first d - 1 slots of T over ``bases``, a list of row
-    tuples, and yield one (prefix, stack) per leaf; ``prefix`` holds
-    indices into ``bases``, in lexicographic order.
+    tuples.  Iterating yields (prefix, leaves), ``prefix`` holding indices
+    into ``bases`` in lexicographic order.
 
     A prefix's blocks are T contracted against every choice of one row
-    from each of its bases.  ``stack`` is None when they all vanish, so
-    every later slot is free; otherwise the prefix has d - 1 entries and
-    ``stack`` holds the nonzero rows of its blocks in ``leaf_form``, whose
-    ``leaf_kernel`` is the last slot's kernel.  Blocks are memoised per
-    tuple of rows: when every row is a canonical projective point (RREF
-    rows are) there are at most P^(d-1) of them; a (d-1)-tuple's block is
-    kept as its leaf rows.  The level above the leaves is one loop that
-    stacks them, with no generator per leaf.  The cap is charged one unit
-    per node, the root included."""
-    field, n, d, m = T.field, T.n, T.d, T.m
-    memo = {(): T.coeffs}
-    leaves = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
-    nodes = 0
+    from each of its bases.  ``leaves`` is None when they all vanish, so
+    every later slot is free.  Otherwise the prefix has d - 2 entries and
+    ``leaves`` holds its children (:class:`_Leaves`): leaf i appends base i,
+    and its last slot's kernel is that of the blocks of the prefix's keys
+    contracted against base i's rows.  At d = 1 the root is the one leaf.
+    Blocks are memoised per tuple of rows: when every row is a canonical
+    projective point (RREF rows are) there are at most P^(d-1) of them; a
+    (d-1)-tuple's block is kept as its nonzero rows in ``leaf_form``.
+    When ``masked`` the groups are :class:`_MaskLeaves`, read through
+    bits over P(F^n) in :func:`grassmann.projective_points` order;
+    ``points`` is that list when the caller already holds it.
 
-    def walk(prefix, keys):
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
+    The cap is charged one unit per node, the root and every leaf
+    included, and :meth:`charge` lets a caller charge more to the same
+    budget.  A group of leaves is charged in one step: when the cap falls
+    inside it, only the leaves before that point are handed out, and the
+    walk raises once the caller asks for more, where charging one leaf at a
+    time would have raised."""
+
+    def __init__(self, T: Tensor, bases: list, cap: int, points: Optional[list] = None):
+        self.T, self.field, self.n = T, T.field, T.n
+        self.bases, self.cap, self.points = bases, cap, points
+        self.nodes = 0
+        self.memo = {(): T.coeffs}
+        self.blocks = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
+        self.masks = {}  # (d-2)-tuple of rows -> block masks over self.rows
+        self.zeros = {}  # functional row, and its multiple led by one -> zero set
+        q = T.field.q
+        # Leaves are masked at d >= 3 when listing P(F^n) costs no more than
+        # the bases did (not for the one plane of F^2, nor F^n alone) and the
+        # masks' bits fit the cap: at most P^(d-1) blocks of P bits each,
+        # every row being a canonical point, and P zero sets of P bits.
+        npts = gauss_binom(T.n, 1, q)
+        self.masked = T.d >= 3 and npts <= len(bases) and npts**T.d <= cap
+        if self.masked:  # the bases' distinct rows, and each base's places among them
+            place = {}
+            self.at = [tuple(place.setdefault(r, len(place)) for r in rows) for rows in bases]
+            self.rows = list(place)
+            self.full = (1 << npts) - 1
+            self.dim = {(q**k - 1) // (q - 1): k for k in range(T.n + 1)}  # by popcount
+
+    def charge(self, count: int = 1) -> None:
+        self.nodes += count
+        if self.nodes > self.cap:
             raise CapExceededError("slot walk exceeded its cap")
-        if len(prefix) == d - 1:  # d = 1: the root is the only leaf
-            yield prefix, list(_leaf_rows(field, T.coeffs, m, n)) or None
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._walk((), [()])
+
+    def _walk(self, prefix, keys):
+        T, memo = self.T, self.memo
+        self.charge()
+        if T.d == 1:
+            yield prefix, (_RootLeaf(self, prefix, keys, 1) if any(T.coeffs) else None)
             return
         if not any(map(any, (memo[key] for key in keys))):
             yield prefix, None
             return
-        order = d - len(prefix)
+        order = T.d - len(prefix)
         if order > 2:
-            for i, rows in enumerate(bases):
+            for i, rows in enumerate(self.bases):
                 child = [key + (r,) for key in keys for r in rows]
                 for key in child:
                     if key not in memo:
-                        memo[key] = _contract_first(field, memo[key[:-1]], m, n, order, key[-1])
-                yield from walk(prefix + (i,), child)
-            return
-        by_key = [(memo[key], leaves.setdefault(key, {})) for key in keys]
-        for i, rows in enumerate(bases):
-            nodes += 1
-            if nodes > cap:
-                raise CapExceededError("slot walk exceeded its cap")
-            stack = []
-            for block, known in by_key:
-                for r in rows:
-                    leaf = known.get(r)
-                    if leaf is None:
-                        leaf = known[r] = _leaf_rows(
-                            field, _contract_first(field, block, m, n, 2, r), m, n
+                        memo[key] = _contract_first(
+                            self.field, memo[key[:-1]], T.m, self.n, order, key[-1]
                         )
-                    stack += leaf
-            yield prefix + (i,), stack or None
+                yield from self._walk(prefix + (i,), child)
+            return
+        size = min(len(self.bases), self.cap - self.nodes)
+        self.nodes += size
+        yield prefix, (_MaskLeaves if self.masked else _Leaves)(self, prefix, keys, size)
+        if size < len(self.bases):
+            raise CapExceededError("slot walk exceeded its cap")
 
-    return walk((), [()])
+    def leaf(self, known: dict, key: tuple, r) -> tuple:
+        """The leaf rows of block (key, r), memoised in ``known``."""
+        rows = known.get(r)
+        if rows is None:
+            T = self.T
+            block = _contract_first(self.field, self.memo[key], T.m, self.n, 2, r)
+            rows = known[r] = _leaf_rows(self.field, block, T.m, self.n)
+        return rows
+
+    @cached_property
+    def bit(self) -> dict:
+        """Each point of P(F^n), in leaf form, to its place in
+        :func:`grassmann.projective_points` (its bit in a zero-set mask),
+        which lists them unless the caller passed that list as ``points``."""
+        points = self.points
+        if points is None:
+            points = projective_points(self.field, self.n, self.cap)
+        return dict(zip(leaf_form(self.field, points), range(len(points))))
+
+    def zero_set(self, row) -> int:
+        """The mask of the points on which a nonzero functional row, in leaf
+        form, vanishes: listed once per row up to scalars."""
+        field = self.field
+        if field.q > 2:
+            row = tuple(row)
+        mask = self.zeros.get(row)
+        if mask is None:
+            lead = next(x for x in row if x) if field.q > 2 else field.one
+            canon = row if lead == field.one else tuple(field.row_ops()[1](field.inv(lead), row))
+            mask = self.zeros.get(canon)
+            if mask is None:
+                bit = self.bit
+                mask = 0
+                for v in leaf_points(field, (canon,), self.n):
+                    mask |= 1 << bit[v]
+                self.zeros[canon] = mask
+            self.zeros[row] = mask
+        return mask
+
+    def key_masks(self, key: tuple) -> list:
+        """Per distinct base row r, the mask of block (key, r): the AND of
+        its nonzero rows' zero sets.  Memoised with the block."""
+        masks = self.masks.get(key)
+        if masks is None:
+            known = self.blocks.setdefault(key, {})
+            full, zero_set = self.full, self.zero_set
+            masks = []
+            for r in self.rows:
+                x = full
+                for row in self.leaf(known, key, r):
+                    x &= zero_set(row)
+                masks.append(x)
+            self.masks[key] = masks
+        return masks
 
 
-def _isotropic_tuples(T: Tensor, subs: list, k: int, cap: int) -> Iterator[tuple]:
+class _Leaves:
+    """The leaves below one node of the walk at order 2, read from their
+    stacked leaf rows: the first ``size`` children, charged by the walk."""
+
+    def __init__(self, walk: _SlotWalk, prefix: tuple, keys: list, size: int):
+        self.walk, self.prefix, self.keys, self.size = walk, prefix, keys, size
+        self.known = [walk.blocks.setdefault(key, {}) for key in keys]
+
+    def head(self, i: int) -> tuple:
+        """Leaf i's prefix: every slot but the last."""
+        return self.prefix + (i,)
+
+    def stack(self, i: int) -> list:
+        """The nonzero rows of leaf i's blocks, in leaf form; its last
+        slot's kernel is theirs."""
+        leaf, rows = self.walk.leaf, self.walk.bases[i]
+        stack = []
+        for key, known in zip(self.keys, self.known):
+            for r in rows:
+                stack += leaf(known, key, r)
+        return stack
+
+    def count(self, count: int, sizes: list, limit: Optional[int]) -> int:
+        """``count`` plus sizes[k] per leaf, k its kernel dimension by
+        ``leaf_rank``, stopping after the leaf that takes it past ``limit``."""
+        field, n = self.walk.field, self.walk.n
+        for i in range(self.size):
+            stack = self.stack(i)
+            count += sizes[n - leaf_rank(field, stack) if stack else n]
+            if limit is not None and count > limit:
+                break
+        return count
+
+    def points(self) -> Iterator[tuple]:
+        """(head, places in P(F^n) of the last slot's kernel points) per leaf."""
+        walk = self.walk
+        bit = walk.bit
+        for i in range(self.size):
+            stack = self.stack(i)
+            if stack:
+                yield self.head(i), map(bit.__getitem__, leaf_points(walk.field, stack, walk.n))
+            else:
+                yield self.head(i), range(len(bit))
+
+    def subspaces(self, k: int) -> Iterator[tuple]:
+        """(head, the k-subspaces of the last slot's kernel as RREF rows in
+        leaf form) per leaf, None in place of the subspaces when the last
+        slot is free."""
+        walk = self.walk
+        for i in range(self.size):
+            stack = self.stack(i)
+            found = leaf_subspaces(walk.field, stack, walk.n, k) if stack else None
+            yield self.head(i), found
+
+
+class _RootLeaf(_Leaves):
+    """The walk's one leaf at d = 1: the root, whose rows are T's own."""
+
+    def head(self, i: int) -> tuple:
+        return self.prefix
+
+    def stack(self, i: int) -> list:
+        T = self.walk.T
+        return list(_leaf_rows(T.field, T.coeffs, T.m, T.n))
+
+
+class _MaskLeaves(_Leaves):
+    """:class:`_Leaves` at d >= 3, decided from zero-set masks over P(F^n)
+    with no elimination: Zb(r), the AND of the blocks (key, r) over the
+    node's keys, is formed once per distinct base row r, and leaf i's
+    kernel points are the AND of Zb over base i's rows.  The popcount,
+    (q^k - 1)/(q - 1), gives the kernel dimension k."""
+
+    def __init__(self, walk: _SlotWalk, prefix: tuple, keys: list, size: int):
+        super().__init__(walk, prefix, keys, size)
+        zb = None
+        for key in keys:
+            masks = walk.key_masks(key)
+            zb = masks if zb is None else [a & b for a, b in zip(zb, masks)]
+        full = walk.full
+        self.kernels = []
+        for at in walk.at[:size]:
+            x = full
+            for j in at:
+                x &= zb[j]
+            self.kernels.append(x)
+
+    def count(self, count: int, sizes: list, limit: Optional[int]) -> int:
+        """As :meth:`_Leaves.count`, k read off the popcount, and in one
+        step when no leaf can take the count past ``limit``."""
+        dim = self.walk.dim
+        found = [sizes[dim[x.bit_count()]] for x in self.kernels]
+        total = sum(found)
+        if limit is None or count + total <= limit:
+            return count + total
+        for size in found:
+            count += size
+            if count > limit:
+                break
+        return count
+
+    def points(self) -> Iterator[tuple]:
+        for i, x in enumerate(self.kernels):
+            places = []
+            while x:
+                low = x & -x
+                places.append(low.bit_length() - 1)
+                x ^= low
+            yield self.head(i), places
+
+    def subspaces(self, k: int) -> Iterator[tuple]:
+        """As :meth:`_Leaves.subspaces`, skipping every leaf whose kernel
+        has dimension below k; the others stack their memoised rows."""
+        walk = self.walk
+        full, dim = walk.full, walk.dim
+        for i, x in enumerate(self.kernels):
+            if x == full:
+                yield self.head(i), None
+            elif dim[x.bit_count()] >= k:
+                yield self.head(i), leaf_subspaces(walk.field, self.stack(i), walk.n, k)
+
+
+def _isotropic_tuples(
+    T: Tensor, subs: list, k: int, cap: int, charged: bool = False
+) -> Iterator[tuple]:
     """d-tuples of k-subspaces annihilating T, in walk order; ``subs`` is
-    every k-subspace.  A free leaf's tails run over ``subs`` in product
+    every k-subspace.  A free prefix's tails run over ``subs`` in product
     order, a kernel leaf's last slot over the k-subspaces of its kernel,
-    looked up in ``subs`` by their RREF rows in leaf form."""
-    field = T.field
-    by_rows = {leaf_form(field, V.rows): V for V in subs}
-    for prefix, stack in _slot_walk(T, [V.rows for V in subs], cap):
-        head = tuple(subs[i] for i in prefix)
-        if stack is None:
-            for tail in itertools.product(subs, repeat=T.d - len(prefix)):
-                yield head + tail
-        else:
-            for rows in leaf_subspaces(field, stack, T.n, k):
-                yield head + (by_rows[rows],)
+    looked up in ``subs`` by their RREF rows in leaf form.  When
+    ``charged``, each tuple listed is charged to the walk's cap as well,
+    and free tails all at once before they are listed."""
+    walk = _SlotWalk(T, [V.rows for V in subs], cap)
+    by_rows = {leaf_form(T.field, V.rows): V for V in subs}
+    for prefix, leaves in walk:
+        for head, found in [(prefix, None)] if leaves is None else leaves.subspaces(k):
+            tup = tuple(subs[i] for i in head)
+            if found is None:
+                if charged:
+                    walk.charge(len(subs) ** (T.d - len(head)))
+                for tail in itertools.product(subs, repeat=T.d - len(head)):
+                    yield tup + tail
+                continue
+            for rows in found:
+                if charged:
+                    walk.charge()
+                yield tup + (by_rows[rows],)
 
 
 @dataclass(frozen=True)
@@ -562,32 +786,42 @@ def alpha_hom(T: Tensor, k: int, cap: int = DEFAULT_CAP) -> HomIsotropyResult:
 
 def isotropic_plane_tuples(T: Tensor, cap: int = DEFAULT_CAP) -> list:
     """All d-tuples of 2-dimensional subspaces annihilating T, sorted into
-    canonical order.  Exact: the pruning never drops a tuple."""
+    canonical order.  Exact: the pruning never drops a tuple.  The cap is
+    charged the slot walk's nodes plus the tuples listed, a free prefix's
+    tails in one step before they are listed; a cap below G^(d-1), for G
+    planes, is refused before the planes are listed."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple enumeration needs a dense tensor")
-    field, n = T.field, T.n
-    check_cap(gauss_binom(n, 2, field.q) ** T.d, cap, "plane-tuple enumeration")
-    planes = list(enumerate_grassmannian(field, n, 2, cap=cap))
-    out = list(_isotropic_tuples(T, planes, 2, cap))
+    # the listing is charged at least G^(d-1), G the number of planes: a
+    # node at order o that is not free has G children (leaves at o = 2),
+    # and a free prefix at order o is charged its G^o tails
+    check_cap(gauss_binom(T.n, 2, T.field.q) ** (T.d - 1), cap, "plane-tuple enumeration")
+    planes = list(enumerate_grassmannian(T.field, T.n, 2, cap=cap))
+    out = list(_isotropic_tuples(T, planes, 2, cap, charged=True))
     out.sort(key=lambda tup: tuple(V.rows for V in tup))
     return out
 
 
 def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAULT_CAP) -> int:
     """|D| for D the set of plane tuples annihilating T, without listing:
-    each leaf of the slot walk adds its free tails or the [N - rank, 2]_q
-    planes of its kernel, read off the leaf's rank with no kernel vector
-    built.  When ``limit`` is given, counting stops once the count passes
-    it, so a result above ``limit`` is only a lower bound."""
+    each free prefix of the slot walk adds its free tails and each leaf the
+    [k, 2]_q planes of its k-dimensional kernel, read off the leaf's rank
+    at d <= 2 and off its zero-set mask's popcount at d >= 3, with no
+    kernel vector built.  When ``limit`` is given, counting stops after the
+    leaf whose planes take the count past it, so a result above ``limit``
+    is only a lower bound; a group of leaves that cannot cross it is added
+    in one step."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple counting needs a dense tensor")
-    planes = list(enumerate_grassmannian(T.field, T.n, 2, cap=cap))
+    field, n = T.field, T.n
+    planes = list(enumerate_grassmannian(field, n, 2, cap=cap))
+    sizes = [gauss_binom(k, 2, field.q) for k in range(n + 1)]
     count = 0
-    for prefix, stack in _slot_walk(T, [V.rows for V in planes], cap):
-        if stack is None:
+    for prefix, leaves in _SlotWalk(T, [V.rows for V in planes], cap):
+        if leaves is None:
             count += len(planes) ** (T.d - len(prefix))
         else:
-            count += gauss_binom(T.n - leaf_rank(T.field, stack), 2, T.field.q)
+            count = leaves.count(count, sizes, limit)
         if limit is not None and count > limit:
             break
     return count

@@ -65,14 +65,24 @@ def brute_force_projective_points(field, dim):
 
 
 def brute_force_edges(T):
-    """Oracle: the projective zero tuples of T, one evaluation each."""
-    points = projective_points(T.field, T.n)
-    zero = (0,) * T.m
-    return frozenset(
-        combo
-        for combo in itertools.product(range(len(points)), repeat=T.d)
-        if tensor_eval(T, [points[i] for i in combo]) == zero
-    )
+    """Oracle: the projective zero tuples of T.  Every prefix of d - 1
+    points is evaluated by tensor_eval against each unit vector in the last
+    slot, and every last point is read off those values by linearity."""
+    F = T.field
+    points = projective_points(F, T.n)
+    units = [[F.one if j == i else 0 for j in range(T.n)] for i in range(T.n)]
+    edges = set()
+    for head in itertools.product(range(len(points)), repeat=T.d - 1):
+        args = [points[i] for i in head]
+        columns = [tensor_eval(T, args + [u]) for u in units]
+        for i, v in enumerate(points):
+            value = [0] * T.m
+            for c, column in zip(v, columns):
+                for o in range(T.m):
+                    value[o] = F.add(value[o], F.mul(c, column[o]))
+            if not any(value):
+                edges.add(head + (i,))
+    return frozenset(edges)
 
 
 def identity_form(F):
@@ -311,6 +321,7 @@ def test_box_copies_cap_counts_listed_boxes():
 @pytest.mark.parametrize("q, N, d, m", [
     (3, 3, 2, 1), (3, 3, 3, 1), (5, 3, 2, 2),  # prime fields
     (4, 3, 2, 1), (9, 2, 3, 1),  # extension fields
+    (3, 4, 3, 1), (4, 3, 3, 2), (2, 3, 4, 2),  # zero-set masks, blocks with m >= 2
 ])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())

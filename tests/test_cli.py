@@ -292,6 +292,36 @@ def test_isotropy_planes(capsys, schema, tmp_path):
     validate(schema, doc)
 
 
+def test_isotropy_planes_is_charged_for_tuples_listed(capsys, schema):
+    # G^d = 357^3 = 45,499,293 steps were refused up front (exit 3); the
+    # listing is charged its 127,807 walk nodes and 661 tuples instead
+    code, doc = run_cli(capsys, *"isotropy planes --q 4 --n 4 --d 3 --m 1".split())
+    assert code == 0
+    assert doc["count"] == "661" and len(doc["tuples"]) == 661
+    validate(schema, doc)
+    argv = "isotropy planes --q 4 --n 4 --d 3 --m 1 --cap".split()
+    assert main(argv + ["128468"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["128467"]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_isotropy_hom_over_many_points_finds_its_first_witness(capsys, deadline):
+    # P^3 = 262,657^3 passes the cap, so no zero-set mask is formed and the
+    # walk stops at its first leaf (q = 1024 spends about 3 s listing its
+    # 10^6 points before the walk starts, too near the deadline)
+    code, doc = run_cli(capsys, *"isotropy hom --q 512 --n 3 --d 3 --m 1 --k 1".split())
+    assert code == 0 and doc["found"] and doc["exhausted"]
+
+
+def test_isotropy_planes_over_many_planes_is_refused_at_once(capsys, deadline):
+    # any map's listing is charged at least G^(d-1) = 1,049,601^2 steps
+    assert main("isotropy planes --q 1024 --n 3 --d 3 --m 1".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "plane-tuple enumeration needs 1101662259201 enumeration steps" in captured.err
+
+
 def test_boxfree_gen_and_verify(capsys, schema, tmp_path):
     hfile = tmp_path / "h.json"
     code, doc = run_cli(

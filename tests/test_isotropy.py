@@ -15,6 +15,7 @@ from multilin.grassmann import (
     alt_incidence_dim,
     enumerate_grassmannian,
     gauss_binom,
+    projective_points,
     rank,
 )
 from multilin.isotropy import (
@@ -39,6 +40,7 @@ from multilin.tensor import (
     base_change,
     random_tensor,
     restrict_zero,
+    tensor_eval,
 )
 
 F2 = field_make(2)
@@ -703,19 +705,55 @@ def test_order_three_tuple_counts_match_brute_force():
         assert len(isotropic_plane_tuples(T)) == brute
 
 
+def _brute_plane_tuples(T):
+    """Oracle: the plane d-tuples on which T vanishes, sorted, as RREF rows.
+    By multilinearity T vanishes on U_1 x ... x U_d iff it vanishes on every
+    tuple of basis rows; each row tuple is evaluated once, by tensor_eval."""
+    planes = list(enumerate_grassmannian(T.field, T.n, 2))
+    zero = {}
+
+    def vanishes(rows):
+        if rows not in zero:
+            zero[rows] = not any(tensor_eval(T, rows))
+        return zero[rows]
+
+    return sorted(
+        rows
+        for rows in itertools.product([V.rows for V in planes], repeat=T.d)
+        if all(map(vanishes, itertools.product(*rows)))
+    )
+
+
+# (q, N, d) for the property test: each brute scan stays under 30k tuples
+BRUTE_SHAPES = [(q, N, d) for q in (2, 3, 4, 5) for N in (2, 3) for d in (2, 3)]
+BRUTE_SHAPES += [(2, 3, 4), (3, 3, 4)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_plane_tuple_count_and_list_match_brute_force(data):
     # count mode and list mode of the one slot walk against the unpruned
-    # product scan; small fields make prefixes on which T vanishes common
-    q = data.draw(st.sampled_from((2, 3, 4)))
-    N = data.draw(st.sampled_from((2, 3)))
-    d = data.draw(st.sampled_from((2, 3)))
+    # product scan, on the d <= 2 leaves and the d >= 3 zero-set masks;
+    # small fields, zero-heavy coefficients and maps l(x) B(y, ...) make
+    # prefixes on which T vanishes common
+    q, N, d = data.draw(st.sampled_from(BRUTE_SHAPES))
     m = data.draw(st.sampled_from((1, 2)))
-    size = m * N**d
-    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
-    T = Tensor(field_of_order(q), N, d, m, coeffs)
-    brute = _brute_tuples(T, 2)
+    F = field_of_order(q)
+    elems = st.one_of(st.just(0), st.integers(0, q - 1))
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(elems, min_size=m * N**d, max_size=m * N**d))
+    else:
+        l = data.draw(st.lists(elems, min_size=N, max_size=N))
+        rest = m * N ** (d - 1)
+        B = data.draw(st.lists(elems, min_size=rest, max_size=rest))
+        coeffs = [
+            F.mul(l[i], B[o * N ** (d - 1) + r])
+            for o in range(m)
+            for i in range(N)
+            for r in range(N ** (d - 1))
+        ]
+    T = Tensor(F, N, d, m, coeffs)
+    brute = _brute_plane_tuples(T)
     listed = isotropic_plane_tuples(T)
     assert [tuple(V.rows for V in tup) for tup in listed] == brute
     assert count_plane_tuples(T) == len(listed) == len(brute)
@@ -818,6 +856,175 @@ def test_f2_walk_cap_charge_is_pinned_on_both_sides(key):
             alpha_hom(T, 2, cap=hom_cap - 1)
     else:
         assert not alpha_hom(T, 2, cap=hom_cap - 1).exhausted
+
+
+def test_listing_charges_walk_nodes_plus_tuples_listed():
+    # the listing's cap is charged the walk's nodes (the count's least cap
+    # here, as each exceeds the plane list) plus one unit per tuple listed
+    for key, (count, count_cap, _, _) in sorted(F2_WALK_PINS.items()):
+        T = f2_walk_map(*key)
+        assert len(isotropic_plane_tuples(T, cap=count_cap + count)) == count
+        with pytest.raises(CapExceededError):
+            isotropic_plane_tuples(T, cap=count_cap + count - 1)
+
+
+def test_listing_refuses_free_tails_before_listing_them():
+    # a zero map's walk is its root, and its G^d free tails are charged in
+    # one step before the first one is listed
+    Z = Tensor.zero(F3, 4, 3, 1)
+    G = gauss_binom(4, 2, 3)
+    planes = list(enumerate_grassmannian(F3, 4, 2))
+    tuples = isotropy._isotropic_tuples(Z, planes, 2, G**3, charged=True)
+    with pytest.raises(CapExceededError):
+        next(tuples)
+    assert count_plane_tuples(Z, cap=G) == G**3  # the count charges nodes alone
+    Z = Tensor.zero(F2, 3, 2, 1)
+    assert len(isotropic_plane_tuples(Z, cap=1 + 7**2)) == 7**2
+    with pytest.raises(CapExceededError):
+        isotropic_plane_tuples(Z, cap=7**2)
+    # the identity form's walk: the root and one leaf per plane, no tuple
+    identity = Tensor(F2, 3, 2, 1, (1, 0, 0, 0, 1, 0, 0, 0, 1))
+    assert isotropic_plane_tuples(identity, cap=8) == []
+    with pytest.raises(CapExceededError):
+        isotropic_plane_tuples(identity, cap=7)
+
+
+# ---------------------------------------------------------------------------
+# the slot walk over F_3 and F_4
+# ---------------------------------------------------------------------------
+
+
+def q_walk_map(q, N, d, m, seed):
+    """A map on (F_q^N)^d shaped as :func:`f2_walk_map`, each kept
+    coefficient a nonzero element drawn from the seed's stream."""
+    rng = SplitMix64(seed)
+
+    def entry(idx):
+        if seed == 2:
+            keep = idx[0] == 0 and rng.below(2) == 0
+        else:
+            keep = min(idx) < N - 2 and rng.below(2 + 2 * seed) == 0
+        return 1 + rng.below(q - 1) if keep else 0
+
+    coeffs = [entry(idx) for _ in range(m) for idx in itertools.product(range(N), repeat=d)]
+    return Tensor(field_of_order(q), N, d, m, coeffs)
+
+
+# (q, N, d, m, seed) -> the same four values as F2_WALK_PINS, recorded on
+# the walk that eliminated every leaf (list rref) before leaves were
+# decided from zero-set masks
+Q_WALK_PINS = {
+    (3, 3, 3, 1, 0): (2, 183, 140, (((1, 0, 0), (0, 0, 1)), ((1, 2, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 3, 1, 1): (4, 183, 13, (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((1, 0, 0), (0, 1, 1)))),
+    (3, 3, 3, 1, 2): (169, 170, 170, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 3, 3, 2, 0): (1, 183, 183, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 3, 2, 1): (1, 183, 183, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 3, 2, 2): (169, 170, 170, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (3, 4, 3, 1, 0): (220, 17031, 130, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 1, 0), (0, 1, 0, 1)), ((1, 1, 2, 0), (0, 0, 0, 1)))),
+    (3, 4, 3, 1, 1): (466, 17031, 130, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 2, 0)), ((1, 2, 0, 1), (0, 0, 1, 2)))),
+    (3, 4, 3, 1, 2): (253162, 15341, 130, (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 1, 0, 0), (0, 0, 0, 1)))),
+    (3, 3, 4, 1, 0): (2, 2380, 1827, (((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 2), (0, 1, 2)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 4, 1, 1): (2, 2380, 2332, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1)), ((1, 0, 2), (0, 1, 0)), ((1, 0, 2), (0, 1, 0)))),
+    (3, 3, 4, 1, 2): (2197, 2198, 2198, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
+    (4, 3, 3, 1, 0): (4, 463, 196, (((2, 0, 2), (0, 2, 0)), ((2, 1, 0), (0, 0, 2)), ((2, 0, 2), (0, 2, 3)))),
+    (4, 3, 3, 1, 1): (1, 463, 463, (((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 3, 1, 2): (441, 442, 442, (((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (0, 2, 0)))),
+    (4, 3, 3, 2, 0): (1, 463, 463, (((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 3, 2, 1): (1, 463, 463, (((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 3, 2, 2): (441, 442, 442, (((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (0, 2, 0)))),
+    (4, 4, 3, 1, 0): (837, 127807, 770, (((2, 0, 0, 0), (0, 2, 0, 2)), ((2, 0, 0, 3), (0, 2, 0, 3)), ((2, 0, 2, 1), (0, 2, 1, 0)))),
+    (4, 4, 3, 1, 1): (2029, 127807, 357, (((2, 0, 0, 0), (0, 2, 0, 0)), ((2, 0, 0, 0), (0, 2, 0, 0)), ((2, 0, 0, 0), (0, 0, 2, 0)))),
+    (4, 4, 3, 1, 2): (2796381, 120310, 357, (((2, 0, 0, 0), (0, 2, 0, 0)), ((2, 0, 0, 0), (0, 2, 0, 0)), ((0, 2, 0, 0), (0, 0, 0, 2)))),
+    (4, 3, 4, 1, 0): (1, 9724, 9724, (((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 4, 1, 1): (42, 9724, 9264, (((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 4, 1, 2): (9261, 9262, 9262, (((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (0, 2, 0)), ((2, 0, 0), (0, 2, 0)))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(Q_WALK_PINS))
+def test_q_walk_count_and_list_are_pinned(key):
+    T = q_walk_map(*key)
+    count, count_cap, _, _ = Q_WALK_PINS[key]
+    assert count_plane_tuples(T) == count
+    if gauss_binom(T.n, 2, T.field.q) ** T.d <= 30_000:
+        listed = isotropic_plane_tuples(T)
+        assert [tuple(V.rows for V in tup) for tup in listed] == _brute_plane_tuples(T)
+        assert len(listed) == count
+    if count <= 30_000:  # the listing is charged the walk's nodes plus its tuples
+        assert len(isotropic_plane_tuples(T, cap=count_cap + count)) == count
+        with pytest.raises(CapExceededError):
+            isotropic_plane_tuples(T, cap=count_cap + count - 1)
+
+
+@pytest.mark.parametrize("key", sorted(Q_WALK_PINS))
+def test_q_alpha_hom_witness_is_pinned(key):
+    result = alpha_hom(q_walk_map(*key), 2)
+    assert result.found and result.exhausted
+    assert tuple(V.rows for V in result.witness) == Q_WALK_PINS[key][3]
+
+
+@pytest.mark.parametrize("key", sorted(Q_WALK_PINS))
+def test_q_walk_cap_charge_is_pinned_on_both_sides(key):
+    # the mask leaves charge the cap as the eliminating walk did, and a
+    # count cut by its limit stops after the same leaf
+    T = q_walk_map(*key)
+    count, count_cap, hom_cap, _ = Q_WALK_PINS[key]
+    assert count_plane_tuples(T, cap=count_cap) == count
+    with pytest.raises(CapExceededError):
+        count_plane_tuples(T, cap=count_cap - 1)
+    assert alpha_hom(T, 2, cap=hom_cap).exhausted
+    if hom_cap - 1 < gauss_binom(T.n, 2, T.field.q):  # the plane list alone exceeds it
+        with pytest.raises(CapExceededError):
+            alpha_hom(T, 2, cap=hom_cap - 1)
+    else:
+        assert not alpha_hom(T, 2, cap=hom_cap - 1).exhausted
+
+
+def _walk_trace(T, cap, masked):
+    """Per node of the slot walk over T's planes that yields: its prefix,
+    and for a group of leaves the group's plane-tuple count and each
+    leaf's kernel points and nonempty kernel lines; then whether the walk
+    raised under ``cap``.  The leaves are decided from zero-set masks when
+    ``masked`` and by elimination otherwise."""
+    planes = [V.rows for V in enumerate_grassmannian(T.field, T.n, 2)]
+    points = projective_points(T.field, T.n)
+    walk = isotropy._SlotWalk(T, planes, DEFAULT_CAP if masked else 0, points)
+    assert walk.masked == masked
+    # lowered after the route is chosen: a cap below P^d never masks, so
+    # no other caller can cut a masked walk at these sizes
+    walk.cap = cap
+    sizes = [gauss_binom(k, 2, T.field.q) for k in range(T.n + 1)]
+    trace = []
+    try:
+        for prefix, leaves in walk:
+            if leaves is None:
+                trace.append((prefix, None))
+                continue
+            kernels = [(head, sorted(places)) for head, places in leaves.points()]
+            lines = [(head, found if found is None else list(found))
+                     for head, found in leaves.subspaces(1)]
+            lines = [line for line in lines if line[1] != []]
+            trace.append((prefix, leaves.count(0, sizes, None), kernels, lines))
+    except CapExceededError:
+        return trace, True
+    return trace, False
+
+
+# (q, N, d, m, seed) -> the least count cap, the walk's node count
+WALK_CUT_NODES = {
+    **{(2,) + key: pin[1] for key, pin in F2_WALK_PINS.items() if key[1] >= 3 and pin[1] <= 100},
+    **{key: pin[1] for key, pin in Q_WALK_PINS.items() if pin[1] <= 500},
+}
+
+
+@pytest.mark.parametrize("key", sorted(WALK_CUT_NODES))
+def test_mask_and_eliminating_leaves_agree_under_caps_across_the_walk(key):
+    # both routes hand out the same leaves before the cap and raise at the
+    # same point, with the same kernels, lines and counts
+    T = f2_walk_map(*key[1:]) if key[0] == 2 else q_walk_map(*key)
+    nodes = WALK_CUT_NODES[key]
+    for cap in sorted({*range(1, nodes, max(1, nodes // 30)), nodes - 1, nodes, nodes + 1}):
+        assert _walk_trace(T, cap, True) == _walk_trace(T, cap, False)
 
 
 def test_alpha_hom_matches_brute_force_random():
