@@ -23,7 +23,12 @@ oracle.  ``leaf_points`` and ``leaf_subspaces`` list the kernel's
 projective points and its k-subspaces in leaf form, so over F_2 the rows
 stay packed to the caller: each combination of kernel rows is one lookup
 in a table of XOR combinations (M4RI's Four-Russians table).
-``projective_points`` lists P(F^n).
+``projective_points`` lists P(F^n), and ``point_rows`` forms the
+combinations of n rows at its points, one axpy each.  ``ZeroSetTable``
+holds the zero set of every functional as a bitmask over P(F^n), formed
+in one pass (a Four-Russians table of the point columns over F_2,
+``point_rows`` of them otherwise), so a stack's kernel points are an AND
+of lookups and its kernel dimension a popcount, with no elimination.
 """
 
 from __future__ import annotations
@@ -108,10 +113,11 @@ def kernel_basis_by_rref(field: Field, rows: Sequence[Sequence[int]], n: int) ->
 
 def leaf_form(field: Field, rows: Sequence[Sequence[int]]) -> Sequence:
     """The rows as :func:`leaf_rank` and :func:`leaf_kernel` read them:
-    packed ints (:func:`gf2_pack`) over F_2, the rows themselves otherwise."""
+    packed ints (:func:`gf2_pack`) over F_2, tuples otherwise, so that a
+    row in leaf form is a key of :class:`ZeroSetTable`."""
     if field.q == 2:
         return tuple(map(gf2_pack, rows))
-    return rows
+    return tuple(map(tuple, rows))
 
 
 def leaf_rank(field: Field, form: Sequence) -> int:
@@ -298,6 +304,83 @@ def iter_projective_points(field: Field, dim: int) -> Iterator[tuple]:
         head = (0,) * i + (one,)
         for tail in itertools.product(field.elements(), repeat=dim - 1 - i):
             yield head + tail
+
+
+def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> list:
+    """The list sum_j p_j rows[j] for each point p of
+    :func:`projective_points` (field, len(rows)), in that order.  The
+    points led at column i are e_i plus every combination of the later
+    columns in product order, so their rows are rows[i] plus each entry of
+    a table of the later rows' combinations: one axpy per point.  The
+    table then grows by row i, and its entries with coefficient one there
+    are the rows just formed."""
+    axpy, _ = field.row_ops()
+    one = field.one
+    later = [[0] * len(rows[0])]  # the combinations of rows[i + 1:]
+    out = []
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        led = [axpy(x, one, row) for x in later]
+        out += led
+        if i:
+            known = {0: later, one: led}
+            later = [
+                x
+                for c in field.elements()
+                for x in (known[c] if c in known else [axpy(y, c, row) for y in later])
+            ]
+    return out
+
+
+class ZeroSetTable:
+    """The zero set over P(F^n) of every functional, as an int mask whose
+    bit i is point i of ``points``, the list :func:`projective_points`
+    gives.  It is formed in one pass.  Over F_2 it is the
+    :func:`gf2_combinations` table of the packed point columns, whose entry
+    f is the set where the functional packed as f is nonzero.  Otherwise
+    f . v = v . f, so the zero set of a canonical functional f is where
+    f's :func:`point_rows` of the point columns vanishes.  A row in
+    :func:`leaf_form` is keyed to its mask the first time it is seen,
+    through its multiple led by one.  The table holds P masks of P bits,
+    P = |P(F^n)|, and at most q^n keys.
+
+    :meth:`kernel` ANDs the masks of a stack of rows, giving the points of
+    their kernel, and ``dim`` maps its popcount, (q^k - 1)/(q - 1), to
+    the kernel's dimension k."""
+
+    __slots__ = ("field", "full", "dim", "masks")
+
+    def __init__(self, field: Field, n: int, points: Sequence[tuple]):
+        q = field.q
+        self.field = field
+        self.full = full = (1 << len(points)) - 1
+        self.dim = {(q**k - 1) // (q - 1): k for k in range(n + 1)}
+        if q == 2:
+            columns = [gf2_pack(v[j] for v in reversed(points)) for j in range(n)]
+            self.masks = {f: full ^ x for f, x in enumerate(gf2_combinations(columns))}
+            return
+        columns = [[v[j] for v in points] for j in range(n)]
+        self.masks = {(0,) * n: full}
+        for f, values in zip(points, point_rows(field, columns)):
+            self.masks[f] = int("".join(["0" if x else "1" for x in reversed(values)]), 2)
+
+    def kernel(self, form: Iterable) -> int:
+        """The mask of the points on which every row of ``form``, in
+        :func:`leaf_form`, vanishes."""
+        x = self.full
+        masks = self.masks
+        for row in form:
+            mask = masks.get(row)
+            if mask is None:
+                field = self.field
+                lead = next(c for c in row if c)
+                mask = masks[row] = masks[tuple(field.row_ops()[1](field.inv(lead), row))]
+            x &= mask
+        return x
+
+    def dimension(self, form: Iterable) -> int:
+        """The dimension of the kernel of the rows of ``form``."""
+        return self.dim[self.kernel(form).bit_count()]
 
 
 class Subspace:

@@ -69,14 +69,13 @@ the listings their ``leaf_subspaces``.  At d >= 3 a leaf is decided
 with no elimination, from int bitmasks over ``grassmann.projective_points``,
 one bit per point, when P^d fits the cap for P = |P(F^n)| (the walk
 then keeps at most P^(d-1) block masks and P zero sets of P bits each)
-and there are at least P bases (not for the one plane of F^2): each
-functional row's zero set is listed once per
-walk, by ``leaf_points`` of that row up to scalars, a block's mask is the
-AND of its rows' sets, and a leaf's kernel points are the AND of its
-blocks' masks, so the popcount (q^k - 1)/(q - 1) gives the kernel
-dimension k.  The count adds [k, 2]_q, the build reads vertex indices off
-the set bits, and the listings stack the rows only of leaves with enough
-dimension.  (At d <= 2 the walk has one group of leaves, so no zero set
+and there are at least P bases (not for the one plane of F^2): every
+functional's zero set is read off one ``grassmann.ZeroSetTable`` formed
+per walk, a block's mask is the AND of its rows' sets, and a leaf's
+kernel points are the AND of its blocks' masks, so the popcount
+(q^k - 1)/(q - 1) gives the kernel dimension k.  The count adds
+[k, 2]_q, the build reads vertex indices off the set bits, and the
+listings stack the rows only of leaves with enough dimension.  (At d <= 2 the walk has one group of leaves, so no zero set
 would be shared.)  The cap is charged one unit per node of the walk, and
 the plane-tuple listing is charged each tuple it lists as well.
 """
@@ -100,6 +99,7 @@ from .errors import (
 from .field import Field
 from .grassmann import (
     Subspace,
+    ZeroSetTable,
     enumerate_grassmannian,
     gauss_binom,
     iter_projective_points,
@@ -479,9 +479,10 @@ class _SlotWalk:
     Blocks are memoised per tuple of rows: when every row is a canonical
     projective point (RREF rows are) there are at most P^(d-1) of them; a
     (d-1)-tuple's block is kept as its nonzero rows in ``leaf_form``.
-    When ``masked`` the groups are :class:`_MaskLeaves`, read through
-    bits over P(F^n) in :func:`grassmann.projective_points` order;
-    ``points`` is that list when the caller already holds it.
+    When ``masked`` the groups are :class:`_MaskLeaves`, whose block
+    masks read the walk's :class:`grassmann.ZeroSetTable`, one pass over
+    P(F^n) in :func:`grassmann.projective_points` order; ``points`` is
+    that list when the caller already holds it.
 
     The cap is charged one unit per node, the root and every leaf
     included, and :meth:`charge` lets a caller charge more to the same
@@ -492,25 +493,23 @@ class _SlotWalk:
 
     def __init__(self, T: Tensor, bases: list, cap: int, points: Optional[list] = None):
         self.T, self.field, self.n = T, T.field, T.n
-        self.bases, self.cap, self.points = bases, cap, points
+        self.bases, self.cap = bases, cap
+        if points is not None:
+            self.points = points  # else listed on first use
         self.nodes = 0
         self.memo = {(): T.coeffs}
         self.blocks = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
         self.masks = {}  # (d-2)-tuple of rows -> block masks over self.rows
-        self.zeros = {}  # functional row, and its multiple led by one -> zero set
-        q = T.field.q
         # Leaves are masked at d >= 3 when listing P(F^n) costs no more than
         # the bases did (not for the one plane of F^2, nor F^n alone) and the
         # masks' bits fit the cap: at most P^(d-1) blocks of P bits each,
-        # every row being a canonical point, and P zero sets of P bits.
-        npts = gauss_binom(T.n, 1, q)
+        # every row being a canonical point, and the P x P zero-set table.
+        npts = gauss_binom(T.n, 1, T.field.q)
         self.masked = T.d >= 3 and npts <= len(bases) and npts**T.d <= cap
         if self.masked:  # the bases' distinct rows, and each base's places among them
             place = {}
             self.at = [tuple(place.setdefault(r, len(place)) for r in rows) for rows in bases]
             self.rows = list(place)
-            self.full = (1 << npts) - 1
-            self.dim = {(q**k - 1) // (q - 1): k for k in range(T.n + 1)}  # by popcount
 
     def charge(self, count: int = 1) -> None:
         self.nodes += count
@@ -556,34 +555,20 @@ class _SlotWalk:
         return rows
 
     @cached_property
+    def points(self) -> list:
+        """P(F^n) in :func:`grassmann.projective_points` order."""
+        return projective_points(self.field, self.n, self.cap)
+
+    @cached_property
     def bit(self) -> dict:
         """Each point of P(F^n), in leaf form, to its place in
-        :func:`grassmann.projective_points` (its bit in a zero-set mask),
-        which lists them unless the caller passed that list as ``points``."""
-        points = self.points
-        if points is None:
-            points = projective_points(self.field, self.n, self.cap)
-        return dict(zip(leaf_form(self.field, points), range(len(points))))
+        :attr:`points` (its bit in a zero-set mask)."""
+        return dict(zip(leaf_form(self.field, self.points), range(len(self.points))))
 
-    def zero_set(self, row) -> int:
-        """The mask of the points on which a nonzero functional row, in leaf
-        form, vanishes: listed once per row up to scalars."""
-        field = self.field
-        if field.q > 2:
-            row = tuple(row)
-        mask = self.zeros.get(row)
-        if mask is None:
-            lead = next(x for x in row if x) if field.q > 2 else field.one
-            canon = row if lead == field.one else tuple(field.row_ops()[1](field.inv(lead), row))
-            mask = self.zeros.get(canon)
-            if mask is None:
-                bit = self.bit
-                mask = 0
-                for v in leaf_points(field, (canon,), self.n):
-                    mask |= 1 << bit[v]
-                self.zeros[canon] = mask
-            self.zeros[row] = mask
-        return mask
+    @cached_property
+    def table(self) -> ZeroSetTable:
+        """The zero set of every functional, as a mask over :attr:`points`."""
+        return ZeroSetTable(self.field, self.n, self.points)
 
     def key_masks(self, key: tuple) -> list:
         """Per distinct base row r, the mask of block (key, r): the AND of
@@ -591,14 +576,8 @@ class _SlotWalk:
         masks = self.masks.get(key)
         if masks is None:
             known = self.blocks.setdefault(key, {})
-            full, zero_set = self.full, self.zero_set
-            masks = []
-            for r in self.rows:
-                x = full
-                for row in self.leaf(known, key, r):
-                    x &= zero_set(row)
-                masks.append(x)
-            self.masks[key] = masks
+            kernel, leaf = self.table.kernel, self.leaf
+            masks = self.masks[key] = [kernel(leaf(known, key, r)) for r in self.rows]
         return masks
 
 
@@ -681,7 +660,7 @@ class _MaskLeaves(_Leaves):
         for key in keys:
             masks = walk.key_masks(key)
             zb = masks if zb is None else [a & b for a, b in zip(zb, masks)]
-        full = walk.full
+        full = walk.table.full
         self.kernels = []
         for at in walk.at[:size]:
             x = full
@@ -692,7 +671,7 @@ class _MaskLeaves(_Leaves):
     def count(self, count: int, sizes: list, limit: Optional[int]) -> int:
         """As :meth:`_Leaves.count`, k read off the popcount, and in one
         step when no leaf can take the count past ``limit``."""
-        dim = self.walk.dim
+        dim = self.walk.table.dim
         found = [sizes[dim[x.bit_count()]] for x in self.kernels]
         total = sum(found)
         if limit is None or count + total <= limit:
@@ -716,7 +695,7 @@ class _MaskLeaves(_Leaves):
         """As :meth:`_Leaves.subspaces`, skipping every leaf whose kernel
         has dimension below k; the others stack their memoised rows."""
         walk = self.walk
-        full, dim = walk.full, walk.dim
+        full, dim = walk.table.full, walk.table.dim
         for i, x in enumerate(self.kernels):
             if x == full:
                 yield self.head(i), None

@@ -8,19 +8,24 @@ coordinate-decomposition bound m.
 
 |Z_T| is counted over projective points: some slots are fixed to
 canonical points (first nonzero coordinate one) and contracted in place,
-and the zeros of the free slots are read off ranks.  Rank is invariant
-under scaling an argument, and a zero argument zeroes what is left, so the
-(q-1)^s scalings of each fixed s-tuple and the tuples with a zero argument
-are counted in closed form.  Two leaves read the free slots:
+and the zeros of the free slots are read off kernel dimensions.  A
+kernel is invariant under scaling an argument, and a zero argument zeroes
+what is left, so the (q-1)^s scalings of each fixed s-tuple and the tuples
+with a zero argument are counted in closed form.  Two leaves read the free
+slots:
 
-- with one free slot, the rank of the remaining m x N matrix gives its
-  q^(N - rank) zeros;
+- with one free slot, the kernel dimension k of the remaining m x N
+  matrix gives its q^k zeros;
 - with two free slots (when m < N), the bias identity behind analytic
   rank (Gowers-Wolf 2011; Lovett 2019) sums the additive character over
-  the codomain: q^m |zeros| = sum over lambda in F^m of
-  q^(2N - rank M_lambda), with M_lambda = sum_o lambda_o M_o the N x N
-  matrix of lambda . T.  Again by scaling, lambda runs over zero and the
-  (q^m - 1)/(q - 1) projective points.
+  the codomain: q^m |zeros| = sum over lambda in F^m of q^(N + k_lambda),
+  k_lambda the kernel dimension of M_lambda = sum_o lambda_o M_o, the
+  N x N matrix of lambda . T.  Again by scaling, lambda runs over zero and
+  the (q^m - 1)/(q - 1) projective points.
+
+A kernel dimension is N less a rank, or, where the leaves are many enough
+to pay for it, the popcount of an AND of zero-set masks read off one
+``grassmann.ZeroSetTable`` over P(F^N) (see :func:`zero_count`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from math import log
 
 from .errors import DEFAULT_CAP, InvariantViolation, PreconditionError, check_cap
-from .grassmann import projective_points, rank as matrix_rank
+from .grassmann import ZeroSetTable, leaf_form, point_rows, projective_points, rank as matrix_rank
 from .tensor import Tensor, _contract_first, _contract_slot
 
 
@@ -40,9 +45,9 @@ def zero_count(
     """Exact |{(x_1..x_d) : T(x_1..x_d) = 0}|.
 
     'kernel' fixes s slots at canonical projective points and counts the
-    zeros of the f = d - s free slots by rank.  A zero argument makes what
-    is left zero, and scaling an argument by c != 0 scales it, so with
-    N_q = q^N,
+    zeros of the f = d - s free slots from kernel dimensions.  A zero
+    argument makes what is left zero, and scaling an argument by c != 0
+    scales it, so with N_q = q^N,
 
         |Z| = (N_q^s - (N_q - 1)^s) N_q^f + (q - 1)^s sum Z_f,
 
@@ -52,18 +57,24 @@ def zero_count(
 
     - m < N and d >= 2: f = 2, ``kernel_slot`` and its neighbour.  The
       character sum over the codomain gives q^m Z_f = q^(2N) + (q - 1)
-      sum q^(2N - rank M_lambda) over the (q^m - 1)/(q - 1) projective
-      lambda in F^m, M_lambda the N x N matrix of lambda . T.  The total
-      is divided by q^m once; a remainder is an ``InvariantViolation``.
-      That is P^(d-2) (q^m - 1)/(q - 1) rank calls.
-    - otherwise f = 1, ``kernel_slot``: Z_f = q^(N - rank) for the m x N
-      matrix left, P^(d-1) rank calls.  At m = N both routes make as
-      many calls, and this one ranks smaller matrices.
+      sum q^(N + k_lambda) over the (q^m - 1)/(q - 1) projective lambda in
+      F^m, k_lambda the kernel dimension of the N x N matrix M_lambda of
+      lambda . T.  The total is divided by q^m once; a remainder is an
+      ``InvariantViolation``.  That is P^(d-2) (q^m - 1)/(q - 1) leaves.
+    - otherwise f = 1, ``kernel_slot``: Z_f = q^k for the kernel dimension
+      k of the m x N matrix left, P^(d-1) leaves.  At m = N both routes
+      have as many leaves, and this one reads smaller matrices.
 
-    The cap is charged with the route's rank calls.  'raw' scans every
-    vector tuple, with no rank call and no projective reduction.  Both
-    give the same count, and any choice of kernel slot does too
-    (multilinearity).
+    A leaf's k is N less a rank, unless the shape has at least 2P leaves
+    and P^2 fits the cap: then it is read off one
+    ``grassmann.ZeroSetTable`` over P(F^N), whose P entries are thus at
+    most half the leaves, and a fixed slot's P children are the
+    ``grassmann.point_rows`` of its N unit contractions, one axpy per
+    child.  Elsewhere the table would cost more than it saves.  Either way
+    the cap is charged the route's leaves, before anything is formed.
+    'raw' scans every vector tuple, with no kernel and no projective
+    reduction.  Both give the same count, and any choice of kernel slot
+    does too (multilinearity).
     """
     if not isinstance(T, Tensor):
         raise PreconditionError("zero counting needs a dense multilinear tensor")
@@ -74,19 +85,11 @@ def zero_count(
     if method == "raw":
         check_cap(q ** (d * n), cap, "raw zero-set scan")
         vectors = list(itertools.product(field.elements(), repeat=n))
-        count = 0
 
-        def rec(flat, order):
-            nonlocal count
-            if order == 0:
-                if all(c == 0 for c in flat):
-                    count += 1
-                return
-            for v in vectors:
-                rec(_contract_first(field, flat, m, n, order, v), order - 1)
+        def children(flat, order):
+            return (_contract_first(field, flat, m, n, order, v) for v in vectors)
 
-        rec(T.coeffs, d)
-        return count
+        return _leaf_sum(T.coeffs, d, children, lambda flat: not any(flat))
     if method != "kernel":
         raise PreconditionError(f"unknown method {method!r}")
     if not 0 <= kernel_slot < d:
@@ -99,9 +102,27 @@ def zero_count(
     # the fixed slots, highest first, so the lower slot indices stay put
     slots = [j for j in reversed(range(d)) if j not in free]
     s = len(slots)
-    leaf_calls = (q**m - 1) // (q - 1) if pairs else 1
-    check_cap(((nq - 1) // (q - 1)) ** s * leaf_calls, cap, "zero-set kernel scan")
+    npts = (nq - 1) // (q - 1)
+    leaves = npts**s * ((q**m - 1) // (q - 1) if pairs else 1)
+    check_cap(leaves, cap, "zero-set kernel scan")
     points = projective_points(field, n, cap) if s else []
+    table = ZeroSetTable(field, n, points) if 2 * npts <= leaves and npts**2 <= cap else None
+    units = [tuple(field.one if j == i else 0 for j in range(n)) for i in range(n)]
+
+    def children(flat, level):
+        """The P contractions of the fixed slot ``level`` slots above the
+        leaves, at the canonical points in order."""
+        slot, order = slots[s - level], len(free) + level
+        if table is None:
+            return (_contract_slot(field, flat, m, n, order, v, slot) for v in points)
+        return point_rows(field, [_contract_slot(field, flat, m, n, order, e, slot) for e in units])
+
+    def kernel_dim(flat):
+        """The kernel dimension of the matrix of n-entry rows in flat."""
+        rows = [flat[i : i + n] for i in range(0, len(flat), n)]
+        if table is None:
+            return n - matrix_rank(field, rows)
+        return table.dimension(leaf_form(field, rows))
 
     if pairs:
         block = n * n
@@ -119,33 +140,34 @@ def zero_count(
                 M = flat[lead : lead + block]
                 for start, c in rest:
                     M = axpy(M, c, flat[start : start + block])
-                rows = [M[i : i + n] for i in range(0, block, n)]
-                acc += q ** (2 * n - matrix_rank(field, rows))
+                acc += q ** (n + kernel_dim(M))
             return nq * nq + (q - 1) * acc
 
     else:
 
         def leaf(flat):
             """The zeros of the free slot."""
-            rows = [flat[i : i + n] for i in range(0, m * n, n)]
-            return q ** (n - matrix_rank(field, rows))
+            return q ** kernel_dim(flat)
 
-    total = 0
-
-    def rec(flat, depth):
-        nonlocal total
-        if depth == s:
-            total += leaf(flat)
-            return
-        for v in points:
-            rec(_contract_slot(field, flat, m, n, d - depth, v, slots[depth]), depth + 1)
-
-    rec(T.coeffs, 0)
+    total = _leaf_sum(T.coeffs, s, children, leaf)
     if pairs:
         if total % q**m:
             raise InvariantViolation(f"character sum {total} is not a multiple of q^m = {q**m}")
         total //= q**m
     return (nq**s - (nq - 1) ** s) * nq ** len(free) + (q - 1) ** s * total
+
+
+def _leaf_sum(flat, levels: int, children, leaf) -> int:
+    """The sum of ``leaf`` over the nodes ``levels`` steps of
+    ``children(node, levels left)`` below flat.  A module function, not a
+    closure that calls itself: such a closure is a reference cycle, which
+    would keep a call's tables alive until the next cyclic collection."""
+    if levels == 0:
+        return leaf(flat)
+    nodes = children(flat, levels)
+    if levels == 1:
+        return sum(map(leaf, nodes))
+    return sum(_leaf_sum(child, levels - 1, children, leaf) for child in nodes)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import multilin.rank
 from multilin.errors import CapExceededError, InvariantViolation
 from multilin.field import field_make, field_of_order
+from multilin.grassmann import ZeroSetTable, point_rows, projective_points
 from multilin.rank import analytic_rank, zero_count
-from multilin.tensor import Tensor, random_tensor
+from multilin.tensor import Tensor, _contract_slot, random_tensor
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -194,3 +196,101 @@ def test_kernel_equals_raw_log_field(coeffs):
     T = Tensor(field_of_order(289), 1, 2, len(coeffs), coeffs)
     raw = zero_count(T, method="raw")
     assert [zero_count(T, kernel_slot=k) for k in range(2)] == [raw, raw]
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The zero-set tables ``zero_count`` forms, as (field order, n)."""
+    formed = []
+
+    class Spy(ZeroSetTable):
+        __slots__ = ()
+
+        def __init__(self, field, n, points):
+            formed.append((field.q, n))
+            super().__init__(field, n, points)
+
+    monkeypatch.setattr(multilin.rank, "ZeroSetTable", Spy)
+    return formed
+
+
+# shapes with at least 2P leaves (P = |P(F^N)|): the rule reads their
+# kernels off the zero-set table
+@pytest.mark.parametrize("q, n, d, m", [
+    (3, 2, 4, 1), (2, 3, 3, 2), (3, 3, 3, 2), (4, 2, 3, 2), (7, 2, 3, 2), (8, 2, 3, 2),
+])
+def test_table_shapes_match_raw_on_every_slot(tables, q, n, d, m):
+    T = random_tensor(field_of_order(q), n, d, m, "hom", seed=41)
+    raw = zero_count(T, method="raw")
+    assert [zero_count(T, kernel_slot=k) for k in range(d)] == [raw] * d
+    assert tables == [(q, n)] * d
+
+
+@pytest.mark.parametrize("q, n, d, m", [(7, 3, 3, 1), (289, 2, 2, 1), (3, 2, 3, 1), (5, 2, 1, 1)])
+def test_shapes_with_fewer_than_2p_leaves_keep_the_rank_leaf(tables, q, n, d, m):
+    T = random_tensor(field_of_order(q), n, d, m, "hom", seed=41)
+    zero_count(T)
+    assert tables == []
+
+
+@pytest.mark.parametrize("q, n, d, slot", [(3, 2, 3, 0), (4, 3, 3, 1), (5, 2, 4, 3), (2, 3, 2, 1)])
+def test_point_rows_of_unit_contractions_are_the_point_contractions(q, n, d, slot):
+    F = field_of_order(q)
+    T = random_tensor(F, n, d, 2, "hom", seed=7)
+    units = [tuple(F.one if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [_contract_slot(F, T.coeffs, 2, n, d, e, slot) for e in units]
+    expected = [_contract_slot(F, T.coeffs, 2, n, d, v, slot) for v in projective_points(F, n)]
+    assert point_rows(F, rows) == expected
+
+
+def test_zero_count_least_cap_on_both_leaves(tables):
+    # table: P = 4, P^2 = 16 leaves of the (3,2,3,2) matrix route
+    T = random_tensor(F3, 2, 3, 2, "hom", seed=5)
+    assert zero_count(T, cap=16) == zero_count(T, method="raw")
+    assert tables == [(3, 2)]
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=15)
+    # rank: P = 7 leaves of the (2,3,3,1) character route, under 2P
+    T = random_tensor(F2, 3, 3, 1, "hom", seed=5)
+    assert zero_count(T, cap=7) == zero_count(T, method="raw")
+    assert tables == [(3, 2)]
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=6)
+
+
+def test_a_table_that_passes_the_cap_falls_back_to_ranks(tables):
+    # (5,3,3,2), an analytic-rank benchmark class (its raw scan takes
+    # seconds): 31 * 6 = 186 leaves, but the table's P^2 = 961 passes a cap
+    # of 186, so that least cap still answers, by ranks, on every slot
+    T = random_tensor(field_of_order(5), 3, 3, 2, "hom", seed=5)
+    by_rank = [zero_count(T, cap=186, kernel_slot=k) for k in range(3)]
+    assert tables == []
+    assert [zero_count(T, kernel_slot=k) for k in range(3)] == by_rank
+    assert tables == [(5, 3)] * 3
+    with pytest.raises(CapExceededError):
+        zero_count(T, cap=185)
+
+
+def test_character_sum_checks_its_division_on_a_table_shape(monkeypatch, tables):
+    # (3,2,4,1) reads the table; a kernel of dimension -2 leaves
+    # 3^4 + 2 * 3^0 = 83 per tuple, not a multiple of q^m = 3
+    monkeypatch.setattr(ZeroSetTable, "dimension", lambda self, form: -2)
+    with pytest.raises(InvariantViolation, match="not a multiple of q"):
+        zero_count(Tensor.zero(F3, 2, 4, 1))
+    assert tables == [(3, 2)]
+
+
+@pytest.mark.parametrize("q, n, d, m", [(5, 3, 3, 2), (7, 3, 3, 1), (3, 2, 3, 1)])
+def test_zero_count_leaves_no_reference_cycle(q, n, d, m):
+    # a cycle would keep the call's table and contractions alive until the
+    # next cyclic collection, which a later call would then pay for
+    T = random_tensor(field_of_order(q), n, d, m, "hom", seed=1)
+    methods = ["kernel", "raw"] if q ** (n * d) < 10_000 else ["kernel"]
+    gc.collect()
+    gc.disable()
+    try:
+        for method in methods:
+            zero_count(T, method=method)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -10,6 +10,7 @@ from multilin.errors import InvariantViolation
 from multilin.field import field_of_order
 from multilin.grassmann import (
     Subspace,
+    ZeroSetTable,
     enumerate_grassmannian,
     gf2_basis,
     gf2_pack,
@@ -21,6 +22,8 @@ from multilin.grassmann import (
     leaf_points,
     leaf_rank,
     leaf_subspaces,
+    point_rows,
+    projective_points,
     rank,
     rref,
     span_points,
@@ -221,3 +224,60 @@ def test_span_points_are_the_canonical_points_of_the_span(case):
         if lead == F.one:
             expected.add(tuple(v))
     assert len(points) == len(expected) and set(points) == expected
+
+
+TABLE_FIELDS = {q: field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+TABLES = {}
+
+
+def zero_set_table(F, n):
+    """One table per (field, n), as the tables are the slow part here."""
+    key = (F.q, n)
+    if key not in TABLES:
+        TABLES[key] = ZeroSetTable(F, n, projective_points(F, n))
+    return TABLES[key]
+
+
+@st.composite
+def functional_stacks(draw):
+    """A field, n <= 4 and up to 2n rows over F^n in leaf form, with zero
+    rows and scalar multiples of earlier rows mixed in, so m > n and
+    repeated kernels show up."""
+    F = TABLE_FIELDS[draw(st.sampled_from(sorted(TABLE_FIELDS)))]
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from((0, 0) + tuple(range(1, F.q)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2 * n))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            c = draw(st.integers(1, F.q - 1))
+            rows.append([F.mul(c, x) for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([0] * n)
+    return F, n, rows
+
+
+@given(functional_stacks())
+@settings(max_examples=300, deadline=None)
+def test_zero_set_table_matches_leaf_points_and_leaf_rank(case):
+    F, n, rows = case
+    table = zero_set_table(F, n)
+    form = leaf_form(F, rows)
+    place = dict(zip(leaf_form(F, projective_points(F, n)), itertools.count()))
+    expected = sum(1 << place[v] for v in leaf_points(F, form, n))
+    assert table.kernel(form) == expected
+    assert table.dimension(form) == n - leaf_rank(F, form)
+
+
+@given(matrices(max_rows=4, max_cols=4))
+@settings(max_examples=100, deadline=None)
+def test_point_rows_are_the_combinations_at_each_canonical_point(case):
+    F, ncols, rows = case
+    if not rows or F.q ** len(rows) > 3000:
+        return
+    expected = []
+    for p in projective_points(F, len(rows)):
+        v = [0] * ncols
+        for c, row in zip(p, rows):
+            v = naive_axpy(F, v, c, row)
+        expected.append(v)
+    assert point_rows(F, rows) == expected
