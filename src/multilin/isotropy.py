@@ -11,15 +11,16 @@ candidates are generated, not tested: the kernel is intersected with the
 canonical coset representatives modulo the current subspace, and each new
 subspace is visited once.  A candidate is zero at the current pivots and
 leads with a one, so it joins the RREF basis by clearing its pivot column
-from the old rows, with no fresh elimination.  Every frontier row and
-every candidate is a canonical projective point, so the order-d
-contraction T(v, ...) is computed once per point and kept for the whole
-search; the lower-order contractions stay per node.  Row operations run
-on the field's row kernel (:meth:`multilin.field.Field.row_ops`).
+from the old rows, with no fresh elimination.  Every contraction is an
+interior product on T's coefficient list (``tensor.alt_contract``), and
+every frontier row and every candidate is a canonical projective point,
+so the order-d contraction T(..., v) is computed once per point and kept
+for the whole search; the lower-order contractions stay per node.  Row
+operations run on the field's row kernel (:meth:`multilin.field.Field.row_ops`).
 
 The search stops as soon as the index is decided.  Every isotropic
 subspace containing W lies in the joint kernel K(W), so a node whose
-kernel is no larger than the best dimension found, k, is not expanded.
+kernel is no larger than the best dimension found, k, is not extended.
 After a frontier subtree raises k, a top-down certificate scans
 Gr(k+1, n) for an isotropic subspace, but only when that Grassmannian has
 no more subspaces than the frontier Gr(d-1, n), whose walk it would cut
@@ -75,9 +76,10 @@ per walk, a block's mask is the AND of its rows' sets, and a leaf's
 kernel points are the AND of its blocks' masks, so the popcount
 (q^k - 1)/(q - 1) gives the kernel dimension k.  The count adds
 [k, 2]_q, the build reads vertex indices off the set bits, and the
-listings stack the rows only of leaves with enough dimension.  (At d <= 2 the walk has one group of leaves, so no zero set
-would be shared.)  The cap is charged one unit per node of the walk, and
-the plane-tuple listing is charged each tuple it lists as well.
+listings stack the rows only of leaves with enough dimension.  (At
+d <= 2 the walk has one group of leaves, so no zero set would be
+shared.)  The cap is charged one unit per node of the walk, and the
+plane-tuple listing is charged each tuple it lists as well.
 """
 
 from __future__ import annotations
@@ -117,11 +119,11 @@ from .tensor import (
     AltTensor,
     Tensor,
     _contract_first,
+    alt_contract,
     alt_minors,
     alt_restricts_zero,
     alt_wedge_rows,
     check_shape,
-    expand,
     field_dot,
     restrict_zero,
 )
@@ -163,12 +165,7 @@ class _AltSearch:
     dimension, and its witness is then not the DFS's first one."""
 
     def __init__(self, T: AltTensor, cap: int, ceiling: Optional[int] = None):
-        self.T = T
-        self.field = T.field
-        self.n = T.n
-        self.d = T.d
-        self.m = T.m
-        self.dense = expand(T).coeffs
+        self.T, self.field, self.n, self.d, self.m = T, T.field, T.n, T.d, T.m
         self.cap = cap
         self.visits = 0
         self.exhausted = True
@@ -180,7 +177,7 @@ class _AltSearch:
             self.upper = min(self.upper, ceiling)
         self.frontier = gauss_binom(self.n, self.d - 1, self.field.q)
         self.seen = {}
-        self.first = {}  # canonical point v -> T(v, ...), shared, never mutated
+        self.first = {}  # canonical point v -> T(..., v), shared, never mutated
 
     def run(self) -> None:
         """Seed the DFS at every (d-1)-subspace in canonical order; after a
@@ -300,7 +297,7 @@ class _AltSearch:
             counts = [prod(map(len, row)) for row in columns]
             # the completions of a choice of row i: the later rows' choices
             later = [prod(counts[i + 1 :]) for i in range(k)]
-            yield from self._completions(pivots, columns, later, (), {(): self.dense})
+            yield from self._completions(pivots, columns, later, (), {(): self.T.coeffs})
             if not self.exhausted:
                 return
 
@@ -315,7 +312,7 @@ class _AltSearch:
         subsets = list(itertools.combinations(range(i), self.d - 1))
         for v in itertools.product(*columns[i]):
             if subsets and any(
-                any(_contract_first(field, partial[S], m, n, 1, v)) for S in subsets
+                any(alt_contract(field, partial[S], m, n, 1, v)) for S in subsets
             ):
                 if self.spend(later[i]):
                     return
@@ -336,19 +333,18 @@ class _AltSearch:
         return kernel_basis(self.field, stack, n)
 
     def contract(self, v: tuple) -> tuple:
-        """T(v, ...), the order-d contraction, computed once per point:
-        every frontier row and every candidate is a canonical projective
-        point, so at most (q^n - 1)/(q - 1) are stored."""
+        """The interior product T(..., v), computed once per point: every
+        frontier row and every candidate is a canonical projective point,
+        so at most (q^n - 1)/(q - 1) are stored."""
         block = self.first.get(v)
         if block is None:
-            block = tuple(
-                _contract_first(self.field, self.dense, self.m, self.n, self.d, v)
-            )
+            block = tuple(alt_contract(self.field, self.T.coeffs, self.m, self.n, self.d, v))
             self.first[v] = block
         return block
 
     def extend_partial(self, partial: dict, rows: tuple, v) -> dict:
-        """Contractions for subsets that include the new row."""
+        """Contractions for subsets S that include the new row, each T(S, x)
+        up to a sign fixed by |S|, which no kernel or zero test reads."""
         field, m, n, d = self.field, self.m, self.n, self.d
         k = len(rows)
         out = dict(partial)
@@ -357,7 +353,7 @@ class _AltSearch:
                 out[subset + (k,)] = (
                     self.contract(v)
                     if size == 0
-                    else _contract_first(field, partial[subset], m, n, d - size, v)
+                    else alt_contract(field, partial[subset], m, n, d - size, v)
                 )
         return out
 

@@ -1,4 +1,4 @@
-"""Dense multilinear and alternating maps (F^n)^d -> F^m.
+"""Multilinear and alternating maps (F^n)^d -> F^m.
 
 A ``Tensor`` stores all m * n^d coefficients, index order
 (output coordinate, i_1, ..., i_d) row-major.  An ``AltTensor`` stores one
@@ -9,6 +9,9 @@ field, the shape, the coefficient tuple, equality, ``zero`` and
 ``to_dict``); each kind class gives only its ``kind``, its coefficient
 count and a lower bound on it, and ``KINDS`` maps each kind name to its
 class.
+
+An alternating map is read only as its coefficient list, contracted by
+interior products (``alt_contract``); ``expand`` derives its dense Tensor.
 
 Coefficients and vector entries are field element integers (see
 :mod:`multilin.field`); vectors are tuples of length n.
@@ -31,17 +34,6 @@ from .prng import SplitMix64
 def increasing_tuples(n: int, d: int) -> tuple:
     """All strictly increasing d-tuples over range(n), lexicographic."""
     return tuple(itertools.combinations(range(n), d))
-
-
-@functools.lru_cache(maxsize=None)
-def _signed_perms(d: int) -> tuple:
-    out = []
-    for perm in itertools.permutations(range(d)):
-        inversions = sum(
-            1 for a in range(d) for b in range(a + 1, d) if perm[a] > perm[b]
-        )
-        out.append((1 if inversions % 2 == 0 else -1, perm))
-    return tuple(out)
 
 
 def check_shape(n: int, d: int, m: int) -> None:
@@ -276,7 +268,7 @@ def alt_wedge_rows(T: AltTensor) -> list:
     """The linear map phi -> phi ^ T on functionals phi in F^n, as rows:
     one per output o and increasing (d+1)-tuple J, whose product with phi is
     the coefficient at J of T_o ^ phi.  That coefficient is the (d+1)-minor
-    over J with phi as its last row, expanded along it, T_o's coefficients
+    over J with phi as its last row, developed along it, T_o's coefficients
     standing in for the d-minors.  T vanishes on ker phi (phi nonzero) iff
     phi ^ T = 0: with phi first in a dual basis, T = phi ^ a + b, b free of
     phi, and phi ^ T = phi ^ b is zero iff b, the restriction, is."""
@@ -308,41 +300,51 @@ def alt_eval(T: AltTensor, vectors: Sequence[Sequence[int]]) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _permuted_offsets(n: int, d: int) -> tuple:
-    """Per increasing d-tuple over range(n), in :func:`increasing_tuples`
-    order, the flat offsets in one output block of n^d entries of its even
-    and of its odd permutations."""
-    strides = [n ** (d - 1 - j) for j in range(d)]
-    out = []
-    for idx in increasing_tuples(n, d):
-        even, odd = [], []
-        for sign, perm in _signed_perms(d):
-            offset = sum(idx[perm[j]] * strides[j] for j in range(d))
-            (even if sign > 0 else odd).append(offset)
-        out.append((tuple(even), tuple(odd)))
-    return tuple(out)
+def _interior_gathers(n: int, d: int, m: int, signed: bool) -> tuple:
+    """Per coordinate c, the places of iota_{e_c} T's coefficients, for T an
+    order-d form, in T's coefficients followed (when ``signed``) by their
+    negatives and one zero: T_o at J + {c} with the sign of its term in
+    :func:`_laplace_terms`, read by output tuple J, or the zero when c is
+    in J."""
+    ntup, nout = comb(n, d), comb(n, d - 1)
+    size = m * ntup
+    places = [[2 * size if signed else size] * (m * nout) for _ in range(n)]
+    for pos, (cols, at) in enumerate(_laplace_terms(n, d)):
+        for c, place in zip(cols, at):
+            odd, J = divmod(place, nout)
+            for o in range(m):
+                places[c][o * nout + J] = o * ntup + pos + (size if odd and signed else 0)
+    return tuple(map(tuple, places))
+
+
+def alt_contract(field: Field, coeffs, m: int, n: int, d: int, v) -> list:
+    """The interior product T(..., v), v in the last slot, of an order-d
+    alternating form given by its m * C(n, d) coefficients: its order-(d-1)
+    form, one axpy per nonzero v_c over a fixed signed gather.  The first
+    slot would give (-1)^(d-1) times it."""
+    axpy, scale = field.row_ops()
+    signed = field.p != 2 and d > 1  # in characteristic 2, or at d = 1, every sign is +1
+    coeffs = list(coeffs) + (scale(field.neg(field.one), coeffs) if signed else []) + [0]
+    acc = [0] * (m * comb(n, d - 1))
+    for w, places in zip(v, _interior_gathers(n, d, m, signed)):
+        if w:
+            acc = axpy(acc, w, map(coeffs.__getitem__, places))
+    return acc
 
 
 def expand(T: AltTensor) -> Tensor:
-    """Dense Tensor with the same evaluations: sign(perm) * coefficient on
-    permuted increasing tuples, zero on repeated indices."""
-    n, d, m = T.n, T.d, T.m
-    field = T.field
-    block = n**d
-    flat = [0] * (m * block)
-    offsets = _permuted_offsets(n, d)
-    ntup = len(offsets)
-    for o in range(m):
-        base = o * block
-        for pos, (even, odd) in enumerate(offsets):
-            c = T.coeffs[o * ntup + pos]
-            if not c:
-                continue
-            for offset in even:
-                flat[base + offset] = c
-            neg_c = field.neg(c)
-            for offset in odd:
-                flat[base + offset] = neg_c
+    """Dense Tensor with the same evaluations, entry (o, i_1, ..., i_d) being
+    T_o(e_{i_1}, ..., e_{i_d}): d interior products, e_{i_1} first.  It is
+    the public bridge to :class:`Tensor`; the library reads alternating
+    maps only as coefficient lists."""
+    field, n, d, m = T.field, T.n, T.d, T.m
+    units = [tuple(field.one if j == c else 0 for j in range(n)) for c in range(n)]
+    forms = [T.coeffs]
+    for order in range(d, 0, -1):
+        forms = [alt_contract(field, f, m, n, order, e) for f in forms for e in units]
+    flat = [f[o] for o in range(m) for f in forms]
+    if d * (d - 1) // 2 % 2:  # the sign of reversing d slots
+        flat = field.row_ops()[1](field.neg(field.one), flat)
     return Tensor(field, n, d, m, flat)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from multilin import isotropy
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
-from multilin.formulas import alpha_bound
+from multilin.formulas import alpha_alt_closed, alpha_bound
 from multilin.grassmann import (
     Subspace,
     alt_incidence_dim,
@@ -487,7 +487,7 @@ def test_frontier_walk_is_the_grassmannian_in_order(q, n, d, m):
     assert [(rows, pivots) for rows, pivots, _ in walked] == [(W.rows, W.pivots) for W in subs]
     assert search.visits == 0
     for (_, _, partial), W in zip(walked, subs):
-        expected = {(): search.dense}
+        expected = {(): T.coeffs}
         for i in range(d - 1):
             expected = search.extend_partial(expected, W.rows[:i], W.rows[i])
         assert partial == expected
@@ -532,6 +532,15 @@ def test_alpha_field_alt_pins(q, n, d, m, expected):
     result = alpha_field_alt(field_of_order(q), n, d, m)
     assert result.exhaustive
     assert (result.value, result.tensors_scanned, result.searched, result.certified) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_alpha_field_alt_codimension_one_minimum_is_quick(deadline, q):
+    # each (9,8,1) search contracts the 9 coefficients of one map, not the
+    # 9^8 entries of its dense expansion
+    result = alpha_field_alt(field_of_order(q), 9, 8, 1)
+    assert result.exhaustive
+    assert result.value == 8 == alpha_alt_closed(9, 8, 1, char_zero=True).value
 
 
 def _field_min_by_scan(F, n, d, m):

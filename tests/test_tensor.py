@@ -10,7 +10,9 @@ from multilin.grassmann import Subspace, enumerate_grassmannian, kernel_basis, r
 from multilin.tensor import (
     AltTensor,
     Tensor,
+    _contract_first,
     _contract_slot,
+    alt_contract,
     alt_eval,
     alt_minors,
     alt_restricts_zero,
@@ -184,6 +186,34 @@ def test_wedge_rows_cut_out_the_isotropic_hyperplanes(data):
         if alt_restricts_zero(T, W)
     }
     assert null == isotropic
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_alt_contract_is_the_interior_product(data):
+    # d interior products, v_d first, give T(v_1, ..., v_d); one of them is
+    # the first-slot contraction of the dense tensor up to (-1)^(d-1)
+    F = data.draw(st.sampled_from((F2, F3, F4, F5, field_of_order(9))))
+    n = data.draw(st.integers(1, 6))
+    d, m = data.draw(st.integers(1, n)), data.draw(st.integers(1, 2))
+    size = m * comb(n, d)
+    T = AltTensor(F, n, d, m, data.draw(st.lists(st.integers(0, F.q - 1), min_size=size,
+                                                   max_size=size)))
+    vector = st.tuples(*[st.integers(0, F.q - 1)] * n)
+    vs = data.draw(st.lists(vector, min_size=d, max_size=d))
+    form = T.coeffs
+    for order in range(d, 0, -1):
+        form = alt_contract(F, form, m, n, order, vs[order - 1])
+        assert len(form) == m * comb(n, order - 1)
+    assert tuple(form) == alt_eval(T, vs)
+    v = vs[0]
+    got = alt_contract(F, T.coeffs, m, n, d, v)
+    if d > 1:
+        got = expand(AltTensor(F, n, d - 1, m, got)).coeffs
+    dense = _contract_first(F, expand(T).coeffs, m, n, d, v)
+    if d % 2 == 0:
+        dense = [F.neg(x) for x in dense]
+    assert list(got) == dense
 
 
 def test_expand_small_antisymmetric_matrix():
