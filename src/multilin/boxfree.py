@@ -14,10 +14,11 @@ The parts are listed by :func:`multilin.grassmann.projective_points`,
 whose order fixes the vertex indices.  The build is the plane-tuple slot
 walk of :mod:`multilin.isotropy` run over single points: each prefix of
 d - 1 points is contracted once, and the zero points of the last slot are
-the kernel's points.  At d >= 3 their vertex indices are the set bits of
-the leaf's zero-set mask over the points; at d <= 2 they are read by
+the kernel's points.  At d >= 3, when P^d fits the cap for P points,
+their vertex indices are the set bits of the leaf's zero-set mask, read
+off the table of P(F^n) kept per (F_q, n); at d <= 2 they are read by
 :func:`multilin.grassmann.leaf_points` in leaf form and indexed by the
-parts' points in that form (packed over F_2, so no row is unpacked).
+points in that form (packed over F_2, so no row is unpacked).
 Freeness is checked by link intersection: two part-0 vertices can only
 lie in a common box through link elements (the other d - 1 coordinates
 of an edge) they share, so the scan pairs edges with a shared tail and
@@ -153,7 +154,7 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     npts = len(points)
     check_cap(npts**d, cap, "edge enumeration")
     edges = []
-    for prefix, leaves in _SlotWalk(T, [(v,) for v in points], cap, points):
+    for prefix, leaves in _SlotWalk(T, [(v,) for v in points], cap):
         if leaves is None:
             tails = itertools.product(range(npts), repeat=d - len(prefix))
             edges.extend(prefix + tail for tail in tails)

@@ -29,6 +29,9 @@ holds the zero set of every functional as a bitmask over P(F^n), formed
 in one pass (a Four-Russians table of the point columns over F_2,
 ``point_rows`` of them otherwise), so a stack's kernel points are an AND
 of lookups and its kernel dimension a popcount, with no elimination.
+The table is a property of (F_q, n): ``zero_set_table`` forms it on first
+use and keeps it (for the last eight (F_q, n) read), so every zero count
+and slot walk over F^n shares one.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_CAP, PreconditionError, check_cap, check_cap_bits
 from .field import Field
@@ -314,6 +317,8 @@ def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> list:
     a table of the later rows' combinations: one axpy per point.  The
     table then grows by row i, and its entries with coefficient one there
     are the rows just formed."""
+    if not rows:  # P(F^0) is empty
+        return []
     axpy, _ = field.row_ops()
     one = field.one
     later = [[0] * len(rows[0])]  # the combinations of rows[i + 1:]
@@ -334,8 +339,8 @@ def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> list:
 
 class ZeroSetTable:
     """The zero set over P(F^n) of every functional, as an int mask whose
-    bit i is point i of ``points``, the list :func:`projective_points`
-    gives.  It is formed in one pass.  Over F_2 it is the
+    bit i is point i of :func:`projective_points`.  It is formed in one
+    pass, by :func:`zero_set_table` alone.  Over F_2 it is the
     :func:`gf2_combinations` table of the packed point columns, whose entry
     f is the set where the functional packed as f is nonzero.  Otherwise
     f . v = v . f, so the zero set of a canonical functional f is where
@@ -350,8 +355,9 @@ class ZeroSetTable:
 
     __slots__ = ("field", "full", "dim", "masks")
 
-    def __init__(self, field: Field, n: int, points: Sequence[tuple]):
+    def __init__(self, field: Field, n: int):
         q = field.q
+        points = list(iter_projective_points(field, n))
         self.field = field
         self.full = full = (1 << len(points)) - 1
         self.dim = {(q**k - 1) // (q - 1): k for k in range(n + 1)}
@@ -381,6 +387,21 @@ class ZeroSetTable:
     def dimension(self, form: Iterable) -> int:
         """The dimension of the kernel of the rows of ``form``."""
         return self.dim[self.kernel(form).bit_count()]
+
+
+def zero_set_table(field: Field, n: int, cap: int = DEFAULT_CAP) -> Optional[ZeroSetTable]:
+    """The :class:`ZeroSetTable` of P(F^n), or None when its P^2 bits pass
+    the cap, formed on first use and kept per (field, n) for every zero
+    count and slot walk over F^n.  A table holds P^2 bits and up to q^n
+    row keys, so only the last eight (field, n) read are kept."""
+    if gauss_binom(n, 1, field.q) ** 2 > cap:
+        return None
+    return _zero_set_table(field, n)
+
+
+@functools.lru_cache(maxsize=8)
+def _zero_set_table(field: Field, n: int) -> ZeroSetTable:
+    return ZeroSetTable(field, n)
 
 
 class Subspace:

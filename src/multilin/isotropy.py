@@ -64,22 +64,20 @@ last slot off the joint kernel of the prefix's contractions instead of
 scanning it.  Contractions are memoised per tuple of basis rows, so each
 point tuple is contracted once per walk; a (d-1)-tuple's nonzero rows are
 kept in ``grassmann.leaf_form``, and the leaves below one node are handed
-out as one group.  At d <= 2 a leaf stacks those rows: the count adds
-sizes from their ``leaf_rank``, the build reads their ``leaf_points`` and
-the listings their ``leaf_subspaces``.  At d >= 3 a leaf is decided
-with no elimination, from int bitmasks over ``grassmann.projective_points``,
-one bit per point, when P^d fits the cap for P = |P(F^n)| (the walk
-then keeps at most P^(d-1) block masks and P zero sets of P bits each)
-and there are at least P bases (not for the one plane of F^2): every
-functional's zero set is read off one ``grassmann.ZeroSetTable`` formed
-per walk, a block's mask is the AND of its rows' sets, and a leaf's
-kernel points are the AND of its blocks' masks, so the popcount
-(q^k - 1)/(q - 1) gives the kernel dimension k.  The count adds
-[k, 2]_q, the build reads vertex indices off the set bits, and the
-listings stack the rows only of leaves with enough dimension.  (At
-d <= 2 the walk has one group of leaves, so no zero set would be
-shared.)  The cap is charged one unit per node of the walk, and the
-plane-tuple listing is charged each tuple it lists as well.
+out as one group, which reads each leaf's kernel dimension k one way.
+Where the walk's G^(d-1) leaves, G the bases, pay for the P^2 entries of
+the zero-set table, P = |P(F^n)| (only at d >= 3 for n >= 2), and P^d
+fits the cap, k is read with no elimination: each functional's zero set
+is a bitmask over ``grassmann.projective_points`` read off the table that
+``grassmann.zero_set_table`` keeps per (F_q, n) for the zero counts too,
+a block's mask is the AND of its rows' sets, a leaf's kernel points the
+AND of its blocks' masks, and the popcount (q^k - 1)/(q - 1) gives k.
+Otherwise a leaf stacks its rows and k is n less their ``leaf_rank``.
+The count adds [k, 2]_q, the build reads vertex indices off the set bits
+or the stack's ``leaf_points``, and the listings the stack's
+``leaf_subspaces`` (on masks, only where k is large enough).  The cap is
+charged one unit per node of the walk, and the plane-tuple listing is
+charged each tuple it lists as well.
 """
 
 from __future__ import annotations
@@ -101,7 +99,6 @@ from .errors import (
 from .field import Field
 from .grassmann import (
     Subspace,
-    ZeroSetTable,
     enumerate_grassmannian,
     gauss_binom,
     iter_projective_points,
@@ -110,10 +107,10 @@ from .grassmann import (
     leaf_points,
     leaf_rank,
     leaf_subspaces,
-    projective_points,
     rref,
     rref_choices,
     span_points,
+    zero_set_table,
 )
 from .tensor import (
     AltTensor,
@@ -475,10 +472,8 @@ class _SlotWalk:
     Blocks are memoised per tuple of rows: when every row is a canonical
     projective point (RREF rows are) there are at most P^(d-1) of them; a
     (d-1)-tuple's block is kept as its nonzero rows in ``leaf_form``.
-    When ``masked`` the groups are :class:`_MaskLeaves`, whose block
-    masks read the walk's :class:`grassmann.ZeroSetTable`, one pass over
-    P(F^n) in :func:`grassmann.projective_points` order; ``points`` is
-    that list when the caller already holds it.
+    When ``masked`` the leaves are decided from block masks read off the
+    shared zero-set table of P(F^n), :func:`grassmann.zero_set_table`.
 
     The cap is charged one unit per node, the root and every leaf
     included, and :meth:`charge` lets a caller charge more to the same
@@ -487,21 +482,19 @@ class _SlotWalk:
     walk raises once the caller asks for more, where charging one leaf at a
     time would have raised."""
 
-    def __init__(self, T: Tensor, bases: list, cap: int, points: Optional[list] = None):
+    def __init__(self, T: Tensor, bases: list, cap: int):
         self.T, self.field, self.n = T, T.field, T.n
         self.bases, self.cap = bases, cap
-        if points is not None:
-            self.points = points  # else listed on first use
         self.nodes = 0
         self.memo = {(): T.coeffs}
         self.blocks = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
         self.masks = {}  # (d-2)-tuple of rows -> block masks over self.rows
-        # Leaves are masked at d >= 3 when listing P(F^n) costs no more than
-        # the bases did (not for the one plane of F^2, nor F^n alone) and the
-        # masks' bits fit the cap: at most P^(d-1) blocks of P bits each,
-        # every row being a canonical point, and the P x P zero-set table.
+        # Leaves are masked where their G^(d-1) count pays for the table's
+        # P^2 entries (never at d <= 2, n >= 2) and the masks fit the cap: at
+        # most P^(d-1) blocks of P bits, every row a canonical point.
         npts = gauss_binom(T.n, 1, T.field.q)
-        self.masked = T.d >= 3 and npts <= len(bases) and npts**T.d <= cap
+        self.masked = npts**2 <= len(bases) ** (T.d - 1) and npts**T.d <= cap
+        self.table = zero_set_table(T.field, T.n, cap) if self.masked else None
         if self.masked:  # the bases' distinct rows, and each base's places among them
             place = {}
             self.at = [tuple(place.setdefault(r, len(place)) for r in rows) for rows in bases]
@@ -537,7 +530,7 @@ class _SlotWalk:
             return
         size = min(len(self.bases), self.cap - self.nodes)
         self.nodes += size
-        yield prefix, (_MaskLeaves if self.masked else _Leaves)(self, prefix, keys, size)
+        yield prefix, _Leaves(self, prefix, keys, size)
         if size < len(self.bases):
             raise CapExceededError("slot walk exceeded its cap")
 
@@ -551,20 +544,11 @@ class _SlotWalk:
         return rows
 
     @cached_property
-    def points(self) -> list:
-        """P(F^n) in :func:`grassmann.projective_points` order."""
-        return projective_points(self.field, self.n, self.cap)
-
-    @cached_property
     def bit(self) -> dict:
         """Each point of P(F^n), in leaf form, to its place in
-        :attr:`points` (its bit in a zero-set mask)."""
-        return dict(zip(leaf_form(self.field, self.points), range(len(self.points))))
-
-    @cached_property
-    def table(self) -> ZeroSetTable:
-        """The zero set of every functional, as a mask over :attr:`points`."""
-        return ZeroSetTable(self.field, self.n, self.points)
+        :func:`grassmann.projective_points` (its bit in a zero-set mask)."""
+        points = leaf_form(self.field, iter_projective_points(self.field, self.n))
+        return dict(zip(points, range(len(points))))
 
     def key_masks(self, key: tuple) -> list:
         """Per distinct base row r, the mask of block (key, r): the AND of
@@ -578,12 +562,31 @@ class _SlotWalk:
 
 
 class _Leaves:
-    """The leaves below one node of the walk at order 2, read from their
-    stacked leaf rows: the first ``size`` children, charged by the walk."""
+    """The leaves below one node of the walk at order 2: the first
+    ``size`` children, charged by the walk.  When the walk is masked,
+    Zb(r), the AND of the masks of blocks (key, r) over the node's keys,
+    is formed once per distinct base row r, and leaf i's kernel points are
+    the AND of Zb over base i's rows; otherwise a leaf stacks its rows."""
 
     def __init__(self, walk: _SlotWalk, prefix: tuple, keys: list, size: int):
         self.walk, self.prefix, self.keys, self.size = walk, prefix, keys, size
         self.known = [walk.blocks.setdefault(key, {}) for key in keys]
+        self.kernels = self._kernels() if walk.masked else None
+
+    def _kernels(self) -> list:
+        """Each leaf's mask of kernel points."""
+        walk = self.walk
+        zb = None
+        for key in self.keys:
+            masks = walk.key_masks(key)
+            zb = masks if zb is None else [a & b for a, b in zip(zb, masks)]
+        kernels = []
+        for at in walk.at[: self.size]:
+            x = walk.table.full
+            for j in at:
+                x &= zb[j]
+            kernels.append(x)
+        return kernels
 
     def head(self, i: int) -> tuple:
         """Leaf i's prefix: every slot but the last."""
@@ -601,18 +604,34 @@ class _Leaves:
 
     def count(self, count: int, sizes: list, limit: Optional[int]) -> int:
         """``count`` plus sizes[k] per leaf, k its kernel dimension by
-        ``leaf_rank``, stopping after the leaf that takes it past ``limit``."""
+        popcount when masked and by ``leaf_rank`` otherwise, stopping after
+        the leaf that takes it past ``limit``."""
         field, n = self.walk.field, self.walk.n
-        for i in range(self.size):
-            stack = self.stack(i)
-            count += sizes[n - leaf_rank(field, stack) if stack else n]
+        if self.kernels is not None:
+            dims = map(self.walk.table.dim.__getitem__, map(int.bit_count, self.kernels))
+        else:
+            stacks = map(self.stack, range(self.size))
+            dims = (n - leaf_rank(field, stack) if stack else n for stack in stacks)
+        for k in dims:
+            count += sizes[k]
             if limit is not None and count > limit:
                 break
         return count
 
     def points(self) -> Iterator[tuple]:
-        """(head, places in P(F^n) of the last slot's kernel points) per leaf."""
+        """(head, places in P(F^n) of the last slot's kernel points) per
+        leaf: the set bits of its mask when masked, else its
+        ``leaf_points`` looked up in the walk's ``bit``."""
         walk = self.walk
+        if self.kernels is not None:
+            for i, x in enumerate(self.kernels):
+                places = []
+                while x:
+                    low = x & -x
+                    places.append(low.bit_length() - 1)
+                    x ^= low
+                yield self.head(i), places
+            return
         bit = walk.bit
         for i in range(self.size):
             stack = self.stack(i)
@@ -624,16 +643,28 @@ class _Leaves:
     def subspaces(self, k: int) -> Iterator[tuple]:
         """(head, the k-subspaces of the last slot's kernel as RREF rows in
         leaf form) per leaf, None in place of the subspaces when the last
-        slot is free."""
+        slot is free.  When masked, the leaves whose kernel has dimension
+        below k are skipped, and only the others stack their rows."""
         walk = self.walk
-        for i in range(self.size):
-            stack = self.stack(i)
-            found = leaf_subspaces(walk.field, stack, walk.n, k) if stack else None
-            yield self.head(i), found
+        if self.kernels is None:
+            for i in range(self.size):
+                stack = self.stack(i)
+                found = leaf_subspaces(walk.field, stack, walk.n, k) if stack else None
+                yield self.head(i), found
+            return
+        full, dim = walk.table.full, walk.table.dim
+        for i, x in enumerate(self.kernels):
+            if x == full:
+                yield self.head(i), None
+            elif dim[x.bit_count()] >= k:
+                yield self.head(i), leaf_subspaces(walk.field, self.stack(i), walk.n, k)
 
 
 class _RootLeaf(_Leaves):
     """The walk's one leaf at d = 1: the root, whose rows are T's own."""
+
+    def _kernels(self) -> list:
+        return [self.walk.table.kernel(self.stack(0))]
 
     def head(self, i: int) -> tuple:
         return self.prefix
@@ -641,62 +672,6 @@ class _RootLeaf(_Leaves):
     def stack(self, i: int) -> list:
         T = self.walk.T
         return list(_leaf_rows(T.field, T.coeffs, T.m, T.n))
-
-
-class _MaskLeaves(_Leaves):
-    """:class:`_Leaves` at d >= 3, decided from zero-set masks over P(F^n)
-    with no elimination: Zb(r), the AND of the blocks (key, r) over the
-    node's keys, is formed once per distinct base row r, and leaf i's
-    kernel points are the AND of Zb over base i's rows.  The popcount,
-    (q^k - 1)/(q - 1), gives the kernel dimension k."""
-
-    def __init__(self, walk: _SlotWalk, prefix: tuple, keys: list, size: int):
-        super().__init__(walk, prefix, keys, size)
-        zb = None
-        for key in keys:
-            masks = walk.key_masks(key)
-            zb = masks if zb is None else [a & b for a, b in zip(zb, masks)]
-        full = walk.table.full
-        self.kernels = []
-        for at in walk.at[:size]:
-            x = full
-            for j in at:
-                x &= zb[j]
-            self.kernels.append(x)
-
-    def count(self, count: int, sizes: list, limit: Optional[int]) -> int:
-        """As :meth:`_Leaves.count`, k read off the popcount, and in one
-        step when no leaf can take the count past ``limit``."""
-        dim = self.walk.table.dim
-        found = [sizes[dim[x.bit_count()]] for x in self.kernels]
-        total = sum(found)
-        if limit is None or count + total <= limit:
-            return count + total
-        for size in found:
-            count += size
-            if count > limit:
-                break
-        return count
-
-    def points(self) -> Iterator[tuple]:
-        for i, x in enumerate(self.kernels):
-            places = []
-            while x:
-                low = x & -x
-                places.append(low.bit_length() - 1)
-                x ^= low
-            yield self.head(i), places
-
-    def subspaces(self, k: int) -> Iterator[tuple]:
-        """As :meth:`_Leaves.subspaces`, skipping every leaf whose kernel
-        has dimension below k; the others stack their memoised rows."""
-        walk = self.walk
-        full, dim = walk.table.full, walk.table.dim
-        for i, x in enumerate(self.kernels):
-            if x == full:
-                yield self.head(i), None
-            elif dim[x.bit_count()] >= k:
-                yield self.head(i), leaf_subspaces(walk.field, self.stack(i), walk.n, k)
 
 
 def _isotropic_tuples(
@@ -780,12 +755,11 @@ def isotropic_plane_tuples(T: Tensor, cap: int = DEFAULT_CAP) -> list:
 def count_plane_tuples(T: Tensor, limit: Optional[int] = None, cap: int = DEFAULT_CAP) -> int:
     """|D| for D the set of plane tuples annihilating T, without listing:
     each free prefix of the slot walk adds its free tails and each leaf the
-    [k, 2]_q planes of its k-dimensional kernel, read off the leaf's rank
-    at d <= 2 and off its zero-set mask's popcount at d >= 3, with no
-    kernel vector built.  When ``limit`` is given, counting stops after the
-    leaf whose planes take the count past it, so a result above ``limit``
-    is only a lower bound; a group of leaves that cannot cross it is added
-    in one step."""
+    [k, 2]_q planes of its k-dimensional kernel, read off its zero-set
+    mask's popcount where the walk masks and off the leaf's rank
+    otherwise, with no kernel vector built.  When ``limit`` is given,
+    counting stops after the leaf whose planes take the count past it, so
+    a result above ``limit`` is only a lower bound."""
     if not isinstance(T, Tensor):
         raise PreconditionError("plane-tuple counting needs a dense tensor")
     field, n = T.field, T.n

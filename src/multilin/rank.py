@@ -24,8 +24,8 @@ slots:
   the (q^m - 1)/(q - 1) projective points.
 
 A kernel dimension is N less a rank, or, where the leaves are many enough
-to pay for it, the popcount of an AND of zero-set masks read off one
-``grassmann.ZeroSetTable`` over P(F^N) (see :func:`zero_count`).
+to pay for it, the popcount of an AND of zero-set masks read off the
+table of P(F^N) kept by ``grassmann.zero_set_table`` (see :func:`zero_count`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import log
 
 from .errors import DEFAULT_CAP, InvariantViolation, PreconditionError, check_cap
-from .grassmann import ZeroSetTable, leaf_form, point_rows, projective_points, rank as matrix_rank
+from .grassmann import leaf_form, point_rows, projective_points, rank as matrix_rank, zero_set_table
 from .tensor import Tensor, _contract_first, _contract_slot
 
 
@@ -66,9 +66,9 @@ def zero_count(
       have as many leaves, and this one reads smaller matrices.
 
     A leaf's k is N less a rank, unless the shape has at least 2P leaves
-    and P^2 fits the cap: then it is read off one
-    ``grassmann.ZeroSetTable`` over P(F^N), whose P entries are thus at
-    most half the leaves, and a fixed slot's P children are the
+    and P^2 fits the cap: then it is read off the shared table of P(F^N),
+    ``grassmann.zero_set_table``, whose P entries are thus at most half
+    the leaves, and a fixed slot's P children are the
     ``grassmann.point_rows`` of its N unit contractions, one axpy per
     child.  Elsewhere the table would cost more than it saves.  Either way
     the cap is charged the route's leaves, before anything is formed.
@@ -105,8 +105,8 @@ def zero_count(
     npts = (nq - 1) // (q - 1)
     leaves = npts**s * ((q**m - 1) // (q - 1) if pairs else 1)
     check_cap(leaves, cap, "zero-set kernel scan")
-    points = projective_points(field, n, cap) if s else []
-    table = ZeroSetTable(field, n, points) if 2 * npts <= leaves and npts**2 <= cap else None
+    table = zero_set_table(field, n, cap) if 2 * npts <= leaves else None
+    points = projective_points(field, n, cap) if s and table is None else []
     units = [tuple(field.one if j == i else 0 for j in range(n)) for i in range(n)]
 
     def children(flat, level):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multilin import isotropy
+from multilin import grassmann, isotropy
+from multilin.boxfree import build_hypergraph
 from multilin.errors import DEFAULT_CAP, CapExceededError
 from multilin.field import field_make, field_of_order
 from multilin.formulas import alpha_alt_closed, alpha_bound
@@ -32,6 +33,7 @@ from multilin.isotropy import (
     isotropic_plane_tuples,
 )
 from multilin.prng import SplitMix64
+from multilin.rank import zero_count
 from multilin.tensor import (
     AltTensor,
     Tensor,
@@ -742,7 +744,8 @@ BRUTE_SHAPES += [(2, 3, 4), (3, 3, 4)]
 @given(data=st.data())
 def test_plane_tuple_count_and_list_match_brute_force(data):
     # count mode and list mode of the one slot walk against the unpruned
-    # product scan, on the d <= 2 leaves and the d >= 3 zero-set masks;
+    # product scan, on the eliminating leaves (d <= 2, and the one plane of
+    # F^2) and the zero-set masks (d >= 3, N = 3);
     # small fields, zero-heavy coefficients and maps l(x) B(y, ...) make
     # prefixes on which T vanishes common
     q, N, d = data.draw(st.sampled_from(BRUTE_SHAPES))
@@ -920,9 +923,22 @@ def q_walk_map(q, N, d, m, seed):
 
 
 # (q, N, d, m, seed) -> the same four values as F2_WALK_PINS, recorded on
-# the walk that eliminated every leaf (list rref) before leaves were
-# decided from zero-set masks
+# the walk that eliminated every leaf (list rref) before leaves at d >= 3
+# were decided from zero-set masks; the d = 2 entries, whose leaves still
+# eliminate, were recorded before the table was shared (at d = 2, m = 1
+# seed 1 draws the zero map, whose least count cap is the plane list's,
+# not the walk's nodes)
 Q_WALK_PINS = {
+    (3, 3, 2, 1, 0): (4, 14, 13, (((1, 0, 0), (0, 1, 2)), ((1, 0, 0), (0, 1, 2)))),
+    (3, 3, 2, 1, 2): (25, 14, 13, (((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)))),
+    (3, 3, 2, 2, 0): (1, 14, 14, (((0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
+    (3, 3, 2, 2, 1): (25, 14, 13, (((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)))),
+    (3, 3, 2, 2, 2): (13, 14, 14, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)))),
+    (4, 3, 2, 1, 0): (5, 22, 21, (((2, 0, 0), (0, 2, 1)), ((2, 0, 0), (0, 0, 2)))),
+    (4, 3, 2, 1, 2): (41, 22, 21, (((2, 0, 0), (0, 2, 0)), ((2, 0, 3), (0, 2, 0)))),
+    (4, 3, 2, 2, 0): (1, 22, 22, (((0, 2, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 2)))),
+    (4, 3, 2, 2, 1): (41, 22, 21, (((2, 0, 0), (0, 2, 0)), ((2, 0, 1), (0, 2, 0)))),
+    (4, 3, 2, 2, 2): (21, 22, 22, (((0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0)))),
     (3, 3, 3, 1, 0): (2, 183, 140, (((1, 0, 0), (0, 0, 1)), ((1, 2, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)))),
     (3, 3, 3, 1, 1): (4, 183, 13, (((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((1, 0, 0), (0, 1, 1)))),
     (3, 3, 3, 1, 2): (169, 170, 170, (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0)))),
@@ -996,8 +1012,7 @@ def _walk_trace(T, cap, masked):
     raised under ``cap``.  The leaves are decided from zero-set masks when
     ``masked`` and by elimination otherwise."""
     planes = [V.rows for V in enumerate_grassmannian(T.field, T.n, 2)]
-    points = projective_points(T.field, T.n)
-    walk = isotropy._SlotWalk(T, planes, DEFAULT_CAP if masked else 0, points)
+    walk = isotropy._SlotWalk(T, planes, DEFAULT_CAP if masked else 0)
     assert walk.masked == masked
     # lowered after the route is chosen: a cap below P^d never masks, so
     # no other caller can cut a masked walk at these sizes
@@ -1022,7 +1037,7 @@ def _walk_trace(T, cap, masked):
 # (q, N, d, m, seed) -> the least count cap, the walk's node count
 WALK_CUT_NODES = {
     **{(2,) + key: pin[1] for key, pin in F2_WALK_PINS.items() if key[1] >= 3 and pin[1] <= 100},
-    **{key: pin[1] for key, pin in Q_WALK_PINS.items() if pin[1] <= 500},
+    **{key: pin[1] for key, pin in Q_WALK_PINS.items() if key[2] >= 3 and pin[1] <= 500},
 }
 
 
@@ -1034,6 +1049,109 @@ def test_mask_and_eliminating_leaves_agree_under_caps_across_the_walk(key):
     nodes = WALK_CUT_NODES[key]
     for cap in sorted({*range(1, nodes, max(1, nodes // 30)), nodes - 1, nodes, nodes + 1}):
         assert _walk_trace(T, cap, True) == _walk_trace(T, cap, False)
+
+
+@pytest.mark.parametrize("q, N, d, masked", [(2, 4, 3, True), (7, 3, 2, False), (8, 3, 2, False), (53, 3, 2, False)])
+def test_walks_mask_where_their_leaves_pay_for_the_table(q, N, d, masked):
+    # the box pipeline's benchmark classes, and the F_53 planes whose P^2 =
+    # 8.2M table fits the default cap: at d = 2 a walk's G leaves are
+    # fewer than the table's P^2 entries, plane walks and point walks alike
+    F = field_of_order(q)
+    T = random_tensor(F, N, d, 1, "hom", seed=0)
+    points = [(v,) for v in projective_points(F, N)]
+    assert isotropy._SlotWalk(T, points, DEFAULT_CAP).masked == masked
+    if q < 53:
+        planes = [V.rows for V in enumerate_grassmannian(F, N, 2)]
+        assert isotropy._SlotWalk(T, planes, DEFAULT_CAP).masked == masked
+
+
+# ---------------------------------------------------------------------------
+# the zero-set table shared per (F_q, n)
+# ---------------------------------------------------------------------------
+
+
+def _table_readers(T):
+    """Per name, a run of one reader of the shared table under a cap,
+    returning its value; alpha_hom returns its witness and whether it was
+    exhausted, which is its refusal."""
+    def hom(k):
+        def run(cap):
+            result = alpha_hom(T, k, cap=cap)
+            witness = result.witness and tuple(V.rows for V in result.witness)
+            return result.found, result.exhausted, witness
+        return run
+
+    readers = {
+        "count": lambda cap: count_plane_tuples(T, cap=cap),
+        "count limit 2": lambda cap: count_plane_tuples(T, limit=2, cap=cap),
+        "list": lambda cap: [tuple(V.rows for V in tup) for tup in isotropic_plane_tuples(T, cap=cap)],
+        "build": lambda cap: sorted(build_hypergraph(T, cap=cap).edges),
+        "alpha_hom 1": hom(1),
+        "alpha_hom 2": hom(2),
+    }
+    for slot in range(T.d):
+        readers[f"zero_count slot {slot}"] = lambda cap, slot=slot: zero_count(T, cap=cap, kernel_slot=slot)
+    return readers
+
+
+def _outcome(run, cap):
+    try:
+        return "done", run(cap)
+    except CapExceededError as error:
+        return "refused", str(error)
+
+
+def _finished(outcome):
+    return outcome[0] == "done" and (not isinstance(outcome[1], tuple) or outcome[1][1])
+
+
+@pytest.mark.parametrize("key", [(3, 3, 2, 1, 0), (4, 3, 2, 1, 2), (3, 3, 3, 1, 1), (3, 2, 3, 2, 0)])
+def test_cache_state_cannot_change_a_result(key):
+    # each reader at the default cap (the d = 3 walks mask), its least cap and one
+    # below, run cold after the cache is cleared and then warm, gives the
+    # same values, witnesses and refusals
+    T = q_walk_map(*key)
+    for name, run in _table_readers(T).items():
+        hi = 1
+        while not _finished(_outcome(run, hi)):
+            hi *= 2
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _finished(_outcome(run, mid)) else (mid + 1, hi)
+        for cap, finished in [(DEFAULT_CAP, True), (lo, True), (lo - 1, False)]:
+            grassmann._zero_set_table.cache_clear()
+            cold = _outcome(run, cap)
+            assert _finished(cold) == finished, (name, cap)
+            assert _outcome(run, cap) == cold, (name, cap)
+
+
+def test_one_table_per_field_and_dimension(monkeypatch):
+    formed = []
+
+    class Spy(grassmann.ZeroSetTable):
+        __slots__ = ()
+
+        def __init__(self, field, n):
+            formed.append((field.q, n))
+            super().__init__(field, n)
+
+    monkeypatch.setattr(grassmann, "ZeroSetTable", Spy)
+    grassmann._zero_set_table.cache_clear()
+    try:
+        for key in [(3, 3, 2, 1, 0), (3, 3, 2, 2, 2), (3, 3, 3, 1, 1)]:
+            T = q_walk_map(*key)
+            count_plane_tuples(T)
+            count_plane_tuples(T, limit=1)
+            isotropic_plane_tuples(T)
+            build_hypergraph(T)
+            alpha_hom(T, 1)
+            alpha_hom(T, 2)
+        T = random_tensor(F3, 3, 3, 3, "hom", seed=1)  # zero_count's table shape
+        assert [zero_count(T, kernel_slot=k) for k in range(3)] == [zero_count(T)] * 3
+        assert formed == [(3, 3)]
+    finally:
+        grassmann._zero_set_table.cache_clear()
 
 
 def test_alpha_hom_matches_brute_force_random():

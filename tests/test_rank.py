@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import multilin.rank
 from multilin.errors import CapExceededError, InvariantViolation
 from multilin.field import field_make, field_of_order
-from multilin.grassmann import ZeroSetTable, point_rows, projective_points
+from multilin.grassmann import ZeroSetTable, point_rows, projective_points, zero_set_table
 from multilin.rank import analytic_rank, zero_count
 from multilin.tensor import Tensor, _contract_slot, random_tensor
 
@@ -200,18 +200,18 @@ def test_kernel_equals_raw_log_field(coeffs):
 
 @pytest.fixture
 def tables(monkeypatch):
-    """The zero-set tables ``zero_count`` forms, as (field order, n)."""
-    formed = []
+    """The shared zero-set tables ``zero_count`` reads, as (field order,
+    n): one entry per request it makes that returns the table."""
+    read = []
 
-    class Spy(ZeroSetTable):
-        __slots__ = ()
+    def spy(field, n, cap):
+        table = zero_set_table(field, n, cap)
+        if table is not None:
+            read.append((field.q, n))
+        return table
 
-        def __init__(self, field, n, points):
-            formed.append((field.q, n))
-            super().__init__(field, n, points)
-
-    monkeypatch.setattr(multilin.rank, "ZeroSetTable", Spy)
-    return formed
+    monkeypatch.setattr(multilin.rank, "zero_set_table", spy)
+    return read
 
 
 # shapes with at least 2P leaves (P = |P(F^N)|): the rule reads their

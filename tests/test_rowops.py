@@ -10,7 +10,6 @@ from multilin.errors import InvariantViolation
 from multilin.field import field_of_order
 from multilin.grassmann import (
     Subspace,
-    ZeroSetTable,
     enumerate_grassmannian,
     gf2_basis,
     gf2_pack,
@@ -27,6 +26,7 @@ from multilin.grassmann import (
     rank,
     rref,
     span_points,
+    zero_set_table,
 )
 from multilin.isotropy import _rref_insert
 
@@ -227,15 +227,6 @@ def test_span_points_are_the_canonical_points_of_the_span(case):
 
 
 TABLE_FIELDS = {q: field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
-TABLES = {}
-
-
-def zero_set_table(F, n):
-    """One table per (field, n), as the tables are the slow part here."""
-    key = (F.q, n)
-    if key not in TABLES:
-        TABLES[key] = ZeroSetTable(F, n, projective_points(F, n))
-    return TABLES[key]
 
 
 @st.composite
@@ -266,6 +257,16 @@ def test_zero_set_table_matches_leaf_points_and_leaf_rank(case):
     expected = sum(1 << place[v] for v in leaf_points(F, form, n))
     assert table.kernel(form) == expected
     assert table.dimension(form) == n - leaf_rank(F, form)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_set_table_of_the_empty_projective_space(q):
+    # P(F^0) has no points, so the one functional vanishes on none of them
+    F = field_of_order(q)
+    form = leaf_form(F, [()])
+    assert point_rows(F, []) == []
+    assert zero_set_table(F, 0).kernel(form) == 0
+    assert zero_set_table(F, 0).dimension(form) == 0
 
 
 @given(matrices(max_rows=4, max_cols=4))
