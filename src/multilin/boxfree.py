@@ -433,7 +433,9 @@ def delete_and_verify(
 ):
     """Remove every edge inside P(V_1) x ... x P(V_d) for some annihilated
     plane tuple, then verify the result is box-free (a failure would break
-    the span argument and raises).  Returns (hypergraph, deleted_count)."""
+    the span argument and raises).  Every point tuple of an annihilated
+    plane tuple is an edge of T's hypergraph, so a plane tuple with one
+    that is not raises, naming both.  Returns (hypergraph, deleted_count)."""
     field = T.field
     index_maps = [{v: i for i, v in enumerate(part)} for part in H.parts]
     plane_indices = {}  # (slot, plane rows) -> vertex indices of its points
@@ -448,8 +450,12 @@ def delete_and_verify(
                 ]
             point_lists.append(plane_indices[key])
         for combo in itertools.product(*point_lists):
-            if combo in H.edges:
-                deleted.add(combo)
+            if combo not in H.edges:
+                raise InvariantViolation(
+                    f"plane tuple {[V.rows for V in tup]} is not annihilated: "
+                    f"its point tuple {combo} is not an edge"
+                )
+            deleted.add(combo)
     remaining = H.edges - deleted
     H2 = Hypergraph(d=H.d, parts=H.parts, edges=frozenset(remaining))
     free, witness = freeness_check(H2, cap)

@@ -21,14 +21,21 @@ list ``rref``.  ``rank`` and ``kernel_basis`` are those on converted rows;
 RREF is unique, so ``kernel_basis_by_rref``, the list route, is their
 oracle.  ``leaf_points`` and ``leaf_subspaces`` list the kernel's
 projective points and its k-subspaces in leaf form, so over F_2 the rows
-stay packed to the caller: each combination of kernel rows is one lookup
-in a table of XOR combinations (M4RI's Four-Russians table).
-``projective_points`` lists P(F^n), and ``point_rows`` forms the
-combinations of n rows at its points, one axpy each.  ``ZeroSetTable``
-holds the zero set of every functional as a bitmask over P(F^n), formed
-in one pass (a Four-Russians table of the point columns over F_2,
-``point_rows`` of them otherwise), so a stack's kernel points are an AND
-of lookups and its kernel dimension a popcount, with no elimination.
+stay packed to the caller.
+
+Rows are combined here alone, by ``row_combinations``: a lead row plus
+every combination of the given rows, streamed in product order of the
+coefficients with one addition per entry (XOR of packed ints over F_2,
+one axpy otherwise), so a search that stops early forms only what it
+read.  Listed with lead zero it is a table indexed by the coefficient
+vector, over F_2 M4RI's Four-Russians table.
+``span_points`` (the canonical points of a span) and ``point_rows`` (rows
+combined at each point of ``projective_points``, the one listing of
+P(F^n)) are its blocks by leading row, ascending and descending.
+``ZeroSetTable`` holds the zero set of every functional as a bitmask over
+P(F^n), formed in one pass (the table of the packed point columns over
+F_2, ``point_rows`` of them otherwise), so a stack's kernel points are an
+AND of lookups and its kernel dimension a popcount, with no elimination.
 The table is a property of (F_q, n): ``zero_set_table`` forms it on first
 use and keeps it (for the last eight (F_q, n) read), so every zero count
 and slot walk over F^n shares one.
@@ -141,9 +148,9 @@ def leaf_points(field: Field, form: Sequence, n: int) -> Iterable:
     """Canonical projective points of the kernel of rows in
     :func:`leaf_form`, in leaf form and in :func:`span_points` order of the
     kernel's RREF.  Over F_2 they are XOR combinations of the packed
-    kernel's echelon rows (:func:`gf2_span_points`), never unpacked."""
+    kernel's echelon rows, never unpacked."""
     if field.q == 2:
-        return gf2_span_points(gf2_rows(gf2_basis(gf2_kernel(gf2_basis(form), n))))
+        return span_points(field, gf2_rows(gf2_basis(gf2_kernel(gf2_basis(form), n))))
     return span_points(field, rref(field, kernel_basis_by_rref(field, form, n))[0])
 
 
@@ -152,13 +159,13 @@ def leaf_subspaces(field: Field, form: Sequence, n: int, k: int) -> Iterator[tup
     its RREF rows in leaf form.  They come in the order of their
     coefficients against the :func:`leaf_kernel` basis, which run over
     Gr(k, F^dim) in :func:`enumerate_grassmannian`'s order.  Over F_2 each
-    coefficient row is one lookup in the basis's :func:`gf2_combinations`
+    coefficient row is one lookup in the basis's :func:`row_combinations`
     table, and the k rows are reduced by :func:`gf2_basis`."""
     if field.q == 2:
         basis = gf2_basis(form)
         if n - len(basis) < k:
             return
-        table = gf2_combinations(gf2_kernel(basis, n))
+        table = list(row_combinations(field, 0, gf2_kernel(basis, n)))
         for coefs in _coefficient_subspaces(field, n - len(basis), k):
             yield tuple(gf2_rows(gf2_basis([table[c] for c in coefs])))
         return
@@ -249,42 +256,41 @@ def gf2_rows(basis: dict) -> list:
     return [basis[b] for b in sorted(basis, reverse=True)]
 
 
-def gf2_combinations(rows: Sequence[int]) -> list:
-    """The XOR of every subset of the packed rows, indexed by the packed
-    coefficient vector: entry x sums the rows j with bit len(rows) - 1 - j
-    of x set, so a row of coefficients is read off in one lookup (the
-    Four-Russians table of M4RI).  Each row doubles the table, and the
-    entries below 2^i combine only the last i rows."""
-    table = [0]
-    for row in reversed(rows):
-        table += [x ^ row for x in table]
-    return table
+def row_combinations(field: Field, lead, rows: Sequence) -> Iterator:
+    """lead + sum_j c_j rows[j] for every c in F^len(rows), streamed in
+    product order of c (rows[0]'s coefficient slowest), so entry x of
+    ``list(row_combinations(field, zero, rows))`` is the combination whose
+    coefficients are the base-q digits of x.  The lead and the rows share
+    one form: packed ints over F_2 (:func:`gf2_pack`, zero is 0), added by
+    XOR, or element rows (zero is (0,) * n), added by one axpy into a
+    list (the lead itself comes back as given).  Each coefficient of
+    rows[0] adds its multiple to the lead once, and the rest of the rows
+    are combined onto that sum, so every entry but the lead costs one
+    addition, and a consumer that stops early has paid only for the
+    entries it read."""
+    if not rows:
+        yield lead
+        return
+    row, rest = rows[0], rows[1:]
+    yield from row_combinations(field, lead, rest)
+    if isinstance(lead, int):
+        yield from row_combinations(field, lead ^ row, rest)
+        return
+    axpy, _ = field.row_ops()
+    for c in field.elements()[1:]:
+        yield from row_combinations(field, axpy(lead, c, row), rest)
 
 
-def gf2_span_points(rows: Sequence[int]) -> list:
-    """:func:`span_points` of packed RREF rows: row i XOR each combination
-    of the rows after it, which are the first entries of the
-    :func:`gf2_combinations` table of all rows but the first, in binary
-    count order, as over F_2 the product order of their coefficients is."""
-    table = gf2_combinations(rows[1:])
-    last = len(rows) - 1
-    return [lead ^ x for i, lead in enumerate(rows) for x in table[: 1 << (last - i)]]
-
-
-def span_points(field: Field, rows: Sequence[Sequence[int]]) -> Iterator[tuple]:
+def span_points(field: Field, rows: Sequence) -> Iterator:
     """Canonical projective points of span(rows), for rows in reduced row
     echelon form: row i plus any combination of the rows after it has its
     first nonzero entry, a one, at row i's pivot.  Points come by leading
-    row, then by the later rows' coefficients in element order."""
-    axpy, _ = field.row_ops()
+    row, then by the later rows' coefficients in product order, as
+    :func:`row_combinations` blocks, streamed; packed F_2 rows give packed
+    points, element rows tuples."""
     for i, lead in enumerate(rows):
-        later = rows[i + 1 :]
-        for coefs in itertools.product(field.elements(), repeat=len(later)):
-            v = lead
-            for c, row in zip(coefs, later):
-                if c:
-                    v = axpy(v, c, row)
-            yield tuple(v)
+        block = row_combinations(field, lead, rows[i + 1 :])
+        yield from block if isinstance(lead, int) else map(tuple, block)
 
 
 def projective_points(field: Field, dim: int, cap: int = DEFAULT_CAP) -> list:
@@ -311,29 +317,13 @@ def iter_projective_points(field: Field, dim: int) -> Iterator[tuple]:
 
 def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> list:
     """The list sum_j p_j rows[j] for each point p of
-    :func:`projective_points` (field, len(rows)), in that order.  The
-    points led at column i are e_i plus every combination of the later
-    columns in product order, so their rows are rows[i] plus each entry of
-    a table of the later rows' combinations: one axpy per point.  The
-    table then grows by row i, and its entries with coefficient one there
-    are the rows just formed."""
-    if not rows:  # P(F^0) is empty
-        return []
-    axpy, _ = field.row_ops()
-    one = field.one
-    later = [[0] * len(rows[0])]  # the combinations of rows[i + 1:]
+    :func:`projective_points` (field, len(rows)), in that order: the points
+    led at column i, i downwards, are e_i plus every combination of the
+    later columns in product order, the :func:`row_combinations` of
+    rows[i + 1:] led by rows[i]."""
     out = []
     for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        led = [axpy(x, one, row) for x in later]
-        out += led
-        if i:
-            known = {0: later, one: led}
-            later = [
-                x
-                for c in field.elements()
-                for x in (known[c] if c in known else [axpy(y, c, row) for y in later])
-            ]
+        out += row_combinations(field, rows[i], rows[i + 1 :])
     return out
 
 
@@ -341,7 +331,7 @@ class ZeroSetTable:
     """The zero set over P(F^n) of every functional, as an int mask whose
     bit i is point i of :func:`projective_points`.  It is formed in one
     pass, by :func:`zero_set_table` alone.  Over F_2 it is the
-    :func:`gf2_combinations` table of the packed point columns, whose entry
+    :func:`row_combinations` table of the packed point columns, whose entry
     f is the set where the functional packed as f is nonzero.  Otherwise
     f . v = v . f, so the zero set of a canonical functional f is where
     f's :func:`point_rows` of the point columns vanishes.  A row in
@@ -363,7 +353,7 @@ class ZeroSetTable:
         self.dim = {(q**k - 1) // (q - 1): k for k in range(n + 1)}
         if q == 2:
             columns = [gf2_pack(v[j] for v in reversed(points)) for j in range(n)]
-            self.masks = {f: full ^ x for f, x in enumerate(gf2_combinations(columns))}
+            self.masks = {f: full ^ x for f, x in enumerate(row_combinations(field, 0, columns))}
             return
         columns = [[v[j] for v in points] for j in range(n)]
         self.masks = {(0,) * n: full}

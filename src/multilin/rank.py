@@ -125,22 +125,14 @@ def zero_count(
         return table.dimension(leaf_form(field, rows))
 
     if pairs:
-        block = n * n
-        # each canonical lambda leads with a one: start from that matrix
-        combos = [
-            [(o * block, c) for o, c in enumerate(lam) if c]
-            for lam in projective_points(field, m, cap)
-        ]
-        axpy, _ = field.row_ops()
+        starts = range(0, m * n * n, n * n)
 
         def leaf(flat):
-            """q^m times the zeros of the two free slots."""
-            acc = 0
-            for (lead, _), *rest in combos:
-                M = flat[lead : lead + block]
-                for start, c in rest:
-                    M = axpy(M, c, flat[start : start + block])
-                acc += q ** (n + kernel_dim(M))
+            """q^m times the zeros of the two free slots: the M_lambda are
+            the ``point_rows`` of the m matrices M_o, or flat itself at
+            m = 1, where lambda = 1 is the one point."""
+            Ms = point_rows(field, [flat[i : i + n * n] for i in starts]) if m > 1 else (flat,)
+            acc = sum(q ** (n + kernel_dim(M)) for M in Ms)
             return nq * nq + (q - 1) * acc
 
     else:

@@ -19,7 +19,7 @@ from multilin.boxfree import (
     plane_tuple_bound,
     projective_points,
 )
-from multilin.errors import DEFAULT_CAP, CapExceededError, PreconditionError
+from multilin.errors import DEFAULT_CAP, CapExceededError, InvariantViolation, PreconditionError
 from multilin.field import field_make, field_of_order
 from multilin.grassmann import enumerate_grassmannian, iter_projective_points
 from multilin.isotropy import count_plane_tuples, isotropic_plane_tuples
@@ -224,6 +224,19 @@ def test_delete_and_verify_zero_tensor():
     assert H2.edge_count == 0
     assert deleted == 9
     assert freeness_check(H2)[0]
+
+
+def test_delete_and_verify_refuses_a_plane_tuple_the_map_does_not_annihilate():
+    # x_0 y_0 vanishes on U x V iff x_0 does on U or y_0 on V; the zero
+    # map's plane pairs include one where neither does
+    T = Tensor(F2, 3, 2, 1, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+    H = build_hypergraph(T)
+    mine = isotropic_plane_tuples(T)
+    other = next(t for t in isotropic_plane_tuples(Tensor.zero(F2, 3, 2, 1)) if t not in mine)
+    with pytest.raises(InvariantViolation, match="not annihilated"):
+        delete_and_verify(T, H, mine + [other])
+    H2, deleted = delete_and_verify(T, H, mine)
+    assert deleted > 0 and H2.edge_count == H.edge_count - deleted
 
 
 def test_pipeline_certificate():

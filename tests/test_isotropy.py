@@ -198,6 +198,24 @@ def test_alpha_alt_cap_reports_not_exhausted():
     assert alt_restricts_zero(T, result.witness[0])
 
 
+def test_alpha_alt_cap_bounds_the_candidate_work(monkeypatch):
+    # the first seed's quotient K(W)/W has dimension 20, so its first block
+    # of candidates alone holds 2^19 points; a capped search must form only
+    # the ones it visits
+    T = random_tensor(F2, 22, 2, 1, "alt", seed=0)
+    axpy, scale = F2.row_ops()
+    calls = []
+
+    def counted(acc, f, row):
+        calls.append(1)
+        return axpy(acc, f, row)
+
+    monkeypatch.setattr(F2, "_row_ops", (counted, scale))
+    result = alpha_alt(T, cap=7)
+    assert (result.exhausted, result.visits) == (False, 8)
+    assert len(calls) < 2**12
+
+
 def _certificate_spy(monkeypatch):
     """Count the top-down certificates that decided the index (no isotropic
     subspace one dimension up, budget not spent)."""

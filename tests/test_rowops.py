@@ -24,6 +24,7 @@ from multilin.grassmann import (
     point_rows,
     projective_points,
     rank,
+    row_combinations,
     rref,
     span_points,
     zero_set_table,
@@ -207,8 +208,21 @@ def test_rref_insert_rejects_a_vector_not_reduced_modulo_the_rows():
             _rref_insert(F, red, pivots, v)
 
 
-@given(matrices(max_rows=3, max_cols=4))
-@settings(max_examples=60, deadline=None)
+def naive_span_points(F, rows):
+    """Oracle: row i plus each combination of the rows after it, row i
+    ascending, the coefficients in product order (the first slowest)."""
+    out = []
+    for i, lead in enumerate(rows):
+        for coefs in itertools.product(F.elements(), repeat=len(rows) - i - 1):
+            v = list(lead)
+            for c, row in zip(coefs, rows[i + 1 :]):
+                v = naive_axpy(F, v, c, row)
+            out.append(tuple(v))
+    return out
+
+
+@given(st.one_of(matrices(max_rows=4, max_cols=5), sparse_matrices(orders=(2,), max_n=9)))
+@settings(max_examples=150, deadline=None)
 def test_span_points_are_the_canonical_points_of_the_span(case):
     F, ncols, rows = case
     red, _ = rref(F, rows)
@@ -224,6 +238,35 @@ def test_span_points_are_the_canonical_points_of_the_span(case):
         if lead == F.one:
             expected.add(tuple(v))
     assert len(points) == len(expected) and set(points) == expected
+    # by leading row, then by the later rows' coefficients in product order
+    assert points == naive_span_points(F, red)
+    if F.q == 2:
+        assert list(span_points(F, [gf2_pack(r) for r in red])) == list(map(gf2_pack, points))
+
+
+@given(matrices(max_rows=4, max_cols=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_row_combinations_match_a_naive_loop_for_any_lead(case, data):
+    F, ncols, rows = case
+    if F.q ** len(rows) > 2000:
+        return
+    lead = data.draw(st.lists(st.integers(0, F.q - 1), min_size=ncols, max_size=ncols))
+    expected = []
+    for coefs in itertools.product(F.elements(), repeat=len(rows)):
+        v = lead
+        for c, row in zip(coefs, rows):
+            v = naive_axpy(F, v, c, row)
+        expected.append(v)
+    assert list(map(list, row_combinations(F, tuple(lead), rows))) == expected
+    # with lead zero, in the rows' form, entry x has the base-q digits of x
+    # as its coefficients
+    table = list(map(list, row_combinations(F, (0,) * ncols, rows)))
+    assert table == [[F.sub(a, b) for a, b in zip(v, lead)] for v in expected]
+    if F.q == 2:
+        packed = row_combinations(F, gf2_pack(lead), [gf2_pack(r) for r in rows])
+        assert list(packed) == [gf2_pack(v) for v in expected]
+        table = list(row_combinations(F, 0, [gf2_pack(r) for r in rows]))
+        assert table == [gf2_pack(v) ^ gf2_pack(lead) for v in expected]
 
 
 TABLE_FIELDS = {q: field_of_order(q) for q in (2, 3, 4, 5, 7, 8, 9)}
