@@ -14,9 +14,11 @@ The parts are listed by :func:`multilin.grassmann.projective_points`,
 whose order fixes the vertex indices.  The build is the plane-tuple slot
 walk of :mod:`multilin.isotropy` run over single points: each prefix of
 d - 1 points is contracted once, and the zero points of the last slot are
-the kernel's points.  At d >= 3, when P^d fits the cap for P points,
-their vertex indices are the set bits of the leaf's zero-set mask, read
-off the table of P(F^n) kept per (F_q, n); at d <= 2 they are read by
+the kernel's points.  Where the walk masks its leaves (at any d where
+the table's P^2 entries, for P points, pay for themselves and fit the
+cap: see :class:`multilin.isotropy._SlotWalk`), their vertex indices are
+the set bits of the leaf's zero-set mask, read off the table of P(F^n)
+kept per (F_q, n); otherwise they are read by
 :func:`multilin.grassmann.leaf_points` in leaf form and indexed by the
 points in that form (packed over F_2, so no row is unpacked).
 Freeness is checked by link intersection: two part-0 vertices can only
@@ -145,7 +147,8 @@ def build_hypergraph(T: Tensor, cap: int = DEFAULT_CAP) -> Hypergraph:
     The plane-tuple slot walk runs over single points: each prefix of
     d - 1 points is contracted once, and the last slot's zero points are
     the projective points of its kernel, whose vertex indices the walk
-    reads off its zero-set mask (d >= 3) or its ``leaf_points`` (d <= 2).
+    reads off its zero-set mask where it masks its leaves, and off its
+    ``leaf_points`` otherwise.
     A prefix on which T already vanishes takes every tail."""
     if not isinstance(T, Tensor):
         raise PreconditionError("the hypergraph needs a dense multilinear tensor")

@@ -260,22 +260,25 @@ def row_combinations(field: Field, lead, rows: Sequence) -> Iterator:
     """lead + sum_j c_j rows[j] for every c in F^len(rows), streamed in
     product order of c (rows[0]'s coefficient slowest), so entry x of
     ``list(row_combinations(field, zero, rows))`` is the combination whose
-    coefficients are the base-q digits of x.  The lead and the rows share
-    one form: packed ints over F_2 (:func:`gf2_pack`, zero is 0), added by
-    XOR, or element rows (zero is (0,) * n), added by one axpy into a
-    list (the lead itself comes back as given).  Each coefficient of
-    rows[0] adds its multiple to the lead once, and the rest of the rows
-    are combined onto that sum, so every entry but the lead costs one
-    addition, and a consumer that stops early has paid only for the
-    entries it read."""
+    coefficients are the base-q digits of x.  The rows' form picks the
+    addition: packed ints over F_2 (:func:`gf2_pack`) are added by XOR,
+    element rows by one axpy into a list.  The lead is in the rows' form
+    (the lead itself comes back as given), or 0 for the zero lead of
+    either form.  Each coefficient of rows[0] adds its multiple to the
+    lead once, and the rest of the rows are combined onto that sum, so
+    every entry but the lead costs one addition, and a consumer that stops
+    early has paid only for the entries it read."""
     if not rows:
         yield lead
         return
     row, rest = rows[0], rows[1:]
-    yield from row_combinations(field, lead, rest)
-    if isinstance(lead, int):
+    if isinstance(row, int):
+        yield from row_combinations(field, lead, rest)
         yield from row_combinations(field, lead ^ row, rest)
         return
+    if lead == 0:
+        lead = (0,) * len(row)
+    yield from row_combinations(field, lead, rest)
     axpy, _ = field.row_ops()
     for c in field.elements()[1:]:
         yield from row_combinations(field, axpy(lead, c, row), rest)

@@ -60,24 +60,20 @@ Grassmannian scan that shares no code path with the DFS.
 the hypergraph build of :mod:`multilin.boxfree` share one slot walk: it
 runs the first d - 1 slots over a list of subspace bases, stops at a
 prefix on which T vanishes (every later slot is then free), and reads the
-last slot off the joint kernel of the prefix's contractions instead of
-scanning it.  Contractions are memoised per tuple of basis rows, so each
-point tuple is contracted once per walk; a (d-1)-tuple's nonzero rows are
-kept in ``grassmann.leaf_form``, and the leaves below one node are handed
-out as one group, which reads each leaf's kernel dimension k one way.
-Where the walk's G^(d-1) leaves, G the bases, pay for the P^2 entries of
-the zero-set table, P = |P(F^n)| (only at d >= 3 for n >= 2), and P^d
-fits the cap, k is read with no elimination: each functional's zero set
-is a bitmask over ``grassmann.projective_points`` read off the table that
-``grassmann.zero_set_table`` keeps per (F_q, n) for the zero counts too,
-a block's mask is the AND of its rows' sets, a leaf's kernel points the
-AND of its blocks' masks, and the popcount (q^k - 1)/(q - 1) gives k.
-Otherwise a leaf stacks its rows and k is n less their ``leaf_rank``.
-The count adds [k, 2]_q, the build reads vertex indices off the set bits
-or the stack's ``leaf_points``, and the listings the stack's
-``leaf_subspaces`` (on masks, only where k is large enough).  The cap is
-charged one unit per node of the walk, and the plane-tuple listing is
-charged each tuple it lists as well.
+last slot off the joint kernel of the prefix's contractions, memoised per
+tuple of basis rows.  The leaves below one node come as one group, which
+reads each leaf's kernel dimension k one way.  At any d where the P^2
+entries of the zero-set table of P(F^n) fit the cap and are at most 128
+times the walk's G^(d-1) leaves, G the bases, and its block masks fit the
+cap too, k is read with no elimination: a leaf's kernel points are the
+AND of its blocks' masks, each the AND of its rows' zero sets over
+``grassmann.projective_points`` off the table ``grassmann.zero_set_table``
+keeps per (F_q, n), and the popcount (q^k - 1)/(q - 1) gives k.
+Otherwise a leaf stacks its rows in ``grassmann.leaf_form`` and k is n
+less their ``leaf_rank``.  The count adds [k, 2]_q, the build reads
+vertex indices off the set bits or the stack's ``leaf_points``, and the
+listings the stack's ``leaf_subspaces`` (on masks, only where k is large
+enough).  Each node costs one unit of the cap, and each tuple listed one.
 """
 
 from __future__ import annotations
@@ -469,11 +465,10 @@ class _SlotWalk:
     ``leaves`` holds its children (:class:`_Leaves`): leaf i appends base i,
     and its last slot's kernel is that of the blocks of the prefix's keys
     contracted against base i's rows.  At d = 1 the root is the one leaf.
-    Blocks are memoised per tuple of rows: when every row is a canonical
-    projective point (RREF rows are) there are at most P^(d-1) of them; a
-    (d-1)-tuple's block is kept as its nonzero rows in ``leaf_form``.
-    When ``masked`` the leaves are decided from block masks read off the
-    shared zero-set table of P(F^n), :func:`grassmann.zero_set_table`.
+    Blocks are memoised per tuple of rows, at most R^(d-1) for R distinct
+    rows, each kept as its nonzero rows in ``leaf_form``.  When ``masked``,
+    at any d, the leaves are decided from block masks, one per block, read
+    off the shared zero-set table of P(F^n), :func:`grassmann.zero_set_table`.
 
     The cap is charged one unit per node, the root and every leaf
     included, and :meth:`charge` lets a caller charge more to the same
@@ -489,16 +484,21 @@ class _SlotWalk:
         self.memo = {(): T.coeffs}
         self.blocks = {}  # (d-2)-tuple of rows -> {last row: leaf rows}
         self.masks = {}  # (d-2)-tuple of rows -> block masks over self.rows
-        # Leaves are masked where their G^(d-1) count pays for the table's
-        # P^2 entries (never at d <= 2, n >= 2) and the masks fit the cap: at
-        # most P^(d-1) blocks of P bits, every row a canonical point.
+        # Leaves are masked where the table's P^2 entries fit the cap and are
+        # at most 128 times the G^(d-1) leaves, and the R^(d-1) block masks of
+        # P bits fit in cap bytes.  128 is set by cold plane walks over F_q^3
+        # (P = G), one fresh process each, masked against eliminating: a lone
+        # count breaks even near P^2/G = 70 (F_7 0.8 against 0.6 ms, F_11 3.9
+        # against 1.4), a build near 270 (F_16 11.5 against 11.7 ms), and a
+        # build, count and listing near 500 (F_19 22 against 27, F_23 45 against 42).
         npts = gauss_binom(T.n, 1, T.field.q)
-        self.masked = npts**2 <= len(bases) ** (T.d - 1) and npts**T.d <= cap
-        self.table = zero_set_table(T.field, T.n, cap) if self.masked else None
+        self.masked = npts**2 <= min(128 * len(bases) ** (T.d - 1), cap)
         if self.masked:  # the bases' distinct rows, and each base's places among them
             place = {}
             self.at = [tuple(place.setdefault(r, len(place)) for r in rows) for rows in bases]
             self.rows = list(place)
+            self.masked = len(place) ** (T.d - 1) * npts <= 8 * cap
+        self.table = zero_set_table(T.field, T.n, cap) if self.masked else None
 
     def charge(self, count: int = 1) -> None:
         self.nodes += count

@@ -334,17 +334,22 @@ def test_box_copies_cap_counts_listed_boxes():
 @pytest.mark.parametrize("q, N, d, m", [
     (3, 3, 2, 1), (3, 3, 3, 1), (5, 3, 2, 2),  # prime fields
     (4, 3, 2, 1), (9, 2, 3, 1),  # extension fields
-    (3, 4, 3, 1), (4, 3, 3, 2), (2, 3, 4, 2),  # zero-set masks, blocks with m >= 2
+    (3, 4, 3, 1), (4, 3, 3, 2), (2, 3, 4, 2),  # blocks with m >= 2
 ])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_build_matches_brute_force_evaluation(q, N, d, m, data):
+def test_build_matches_brute_force_evaluation(q, N, d, m, data, eliminating):
+    # every shape here reads its leaves off zero-set masks at the default
+    # cap; the eliminating walk is checked too
     F = field_of_order(q)
     coeffs = data.draw(
         st.lists(st.integers(0, q - 1), min_size=m * N**d, max_size=m * N**d)
     )
     T = Tensor(F, N, d, m, coeffs)
-    assert build_hypergraph(T).edges == brute_force_edges(T)
+    edges = brute_force_edges(T)
+    assert build_hypergraph(T).edges == edges
+    with eliminating():
+        assert build_hypergraph(T).edges == edges
 
 
 @pytest.mark.parametrize("d, m", [(d, m) for d in (2, 3, 4) for m in (1, 2, 3)])

@@ -307,7 +307,7 @@ def test_isotropy_planes_is_charged_for_tuples_listed(capsys, schema):
 
 
 def test_isotropy_hom_over_many_points_finds_its_first_witness(capsys, deadline):
-    # P^3 = 262,657^3 passes the cap, so no zero-set mask is formed and the
+    # the P^2 = 262,657^2 table passes the cap, so no mask is formed and the
     # walk stops at its first leaf (q = 1024 spends about 3 s listing its
     # 10^6 points before the walk starts, too near the deadline)
     code, doc = run_cli(capsys, *"isotropy hom --q 512 --n 3 --d 3 --m 1 --k 1".split())

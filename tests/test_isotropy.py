@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 from math import comb
@@ -760,12 +761,11 @@ BRUTE_SHAPES += [(2, 3, 4), (3, 3, 4)]
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_plane_tuple_count_and_list_match_brute_force(data):
+def test_plane_tuple_count_and_list_match_brute_force(data, eliminating):
     # count mode and list mode of the one slot walk against the unpruned
-    # product scan, on the eliminating leaves (d <= 2, and the one plane of
-    # F^2) and the zero-set masks (d >= 3, N = 3);
-    # small fields, zero-heavy coefficients and maps l(x) B(y, ...) make
-    # prefixes on which T vanishes common
+    # product scan, on the zero-set masks these shapes take at the default
+    # cap and on eliminating leaves; small fields, zero-heavy coefficients
+    # and maps l(x) B(y, ...) make prefixes on which T vanishes common
     q, N, d = data.draw(st.sampled_from(BRUTE_SHAPES))
     m = data.draw(st.sampled_from((1, 2)))
     F = field_of_order(q)
@@ -784,9 +784,11 @@ def test_plane_tuple_count_and_list_match_brute_force(data):
         ]
     T = Tensor(F, N, d, m, coeffs)
     brute = _brute_plane_tuples(T)
-    listed = isotropic_plane_tuples(T)
-    assert [tuple(V.rows for V in tup) for tup in listed] == brute
-    assert count_plane_tuples(T) == len(listed) == len(brute)
+    for route in contextlib.nullcontext, eliminating:
+        with route():
+            listed = isotropic_plane_tuples(T)
+            assert [tuple(V.rows for V in tup) for tup in listed] == brute
+            assert count_plane_tuples(T) == len(listed) == len(brute)
 
 
 def test_slot_walk_cap_charges_one_unit_per_node():
@@ -941,11 +943,9 @@ def q_walk_map(q, N, d, m, seed):
 
 
 # (q, N, d, m, seed) -> the same four values as F2_WALK_PINS, recorded on
-# the walk that eliminated every leaf (list rref) before leaves at d >= 3
-# were decided from zero-set masks; the d = 2 entries, whose leaves still
-# eliminate, were recorded before the table was shared (at d = 2, m = 1
-# seed 1 draws the zero map, whose least count cap is the plane list's,
-# not the walk's nodes)
+# the walk that eliminated every leaf (list rref), before any leaf was
+# decided from zero-set masks (at d = 2, m = 1 seed 1 draws the zero map,
+# whose least count cap is the plane list's, not the walk's nodes)
 Q_WALK_PINS = {
     (3, 3, 2, 1, 0): (4, 14, 13, (((1, 0, 0), (0, 1, 2)), ((1, 0, 0), (0, 1, 2)))),
     (3, 3, 2, 1, 2): (25, 14, 13, (((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 1, 0)))),
@@ -1032,7 +1032,7 @@ def _walk_trace(T, cap, masked):
     planes = [V.rows for V in enumerate_grassmannian(T.field, T.n, 2)]
     walk = isotropy._SlotWalk(T, planes, DEFAULT_CAP if masked else 0)
     assert walk.masked == masked
-    # lowered after the route is chosen: a cap below P^d never masks, so
+    # lowered after the route is chosen: a cap below P^2 never masks, so
     # no other caller can cut a masked walk at these sizes
     walk.cap = cap
     sizes = [gauss_binom(k, 2, T.field.q) for k in range(T.n + 1)]
@@ -1054,8 +1054,8 @@ def _walk_trace(T, cap, masked):
 
 # (q, N, d, m, seed) -> the least count cap, the walk's node count
 WALK_CUT_NODES = {
-    **{(2,) + key: pin[1] for key, pin in F2_WALK_PINS.items() if key[1] >= 3 and pin[1] <= 100},
-    **{key: pin[1] for key, pin in Q_WALK_PINS.items() if key[2] >= 3 and pin[1] <= 500},
+    **{(2,) + key: pin[1] for key, pin in F2_WALK_PINS.items() if pin[1] <= 100},
+    **{key: pin[1] for key, pin in Q_WALK_PINS.items() if pin[1] <= 500},
 }
 
 
@@ -1069,11 +1069,16 @@ def test_mask_and_eliminating_leaves_agree_under_caps_across_the_walk(key):
         assert _walk_trace(T, cap, True) == _walk_trace(T, cap, False)
 
 
-@pytest.mark.parametrize("q, N, d, masked", [(2, 4, 3, True), (7, 3, 2, False), (8, 3, 2, False), (53, 3, 2, False)])
+@pytest.mark.parametrize(
+    "q, N, d, masked",
+    [(2, 4, 3, True), (7, 3, 2, True), (8, 3, 2, True), (7, 4, 3, True), (53, 3, 2, False)],
+)
 def test_walks_mask_where_their_leaves_pay_for_the_table(q, N, d, masked):
-    # the box pipeline's benchmark classes, and the F_53 planes whose P^2 =
-    # 8.2M table fits the default cap: at d = 2 a walk's G leaves are
-    # fewer than the table's P^2 entries, plane walks and point walks alike
+    # the box pipeline's benchmark classes (P^2/G = 57 and 73 at d = 2)
+    # mask; so does (4,3,2) over F_7, whose P^3 = 64M passes the cap but
+    # whose table and 184^2 block masks of 400 bits fit it; the F_53 planes,
+    # whose P^2 = 8.2M table fits the default cap, have 2,863 table entries
+    # per leaf at d = 2 and eliminate, plane walks and point walks alike
     F = field_of_order(q)
     T = random_tensor(F, N, d, 1, "hom", seed=0)
     points = [(v,) for v in projective_points(F, N)]
@@ -1081,6 +1086,35 @@ def test_walks_mask_where_their_leaves_pay_for_the_table(q, N, d, masked):
     if q < 53:
         planes = [V.rows for V in enumerate_grassmannian(F, N, 2)]
         assert isotropy._SlotWalk(T, planes, DEFAULT_CAP).masked == masked
+
+
+@pytest.mark.parametrize("q", [3, 4, 7, 8])
+def test_masked_and_eliminating_d2_walks_agree_in_every_caller(q, eliminating):
+    # at d = 2 the default cap masks these walks, plane walks and point
+    # walks alike, and the d = 1 root's too; every caller reads the same
+    F = field_of_order(q)
+    shapes = [(3, 2, 1), (3, 2, 2), (2, 1, 1)] + [(4, 2, 1)] * (q < 7)
+    maps = [random_tensor(F, *shape, "hom", seed=seed) for shape in shapes for seed in range(3)]
+    maps += [q_walk_map(q, N, d, m, seed) for N, d, m in shapes[:2] for seed in range(3)]
+    for T in maps:
+        planes = [V.rows for V in enumerate_grassmannian(F, T.n, 2)]
+        points = [(v,) for v in projective_points(F, T.n)]
+        assert all(isotropy._SlotWalk(T, bases, DEFAULT_CAP).masked for bases in (planes, points))
+
+    def run():
+        return [
+            (
+                build_hypergraph(T).edges,
+                count_plane_tuples(T),
+                [tuple(V.rows for V in tup) for tup in isotropic_plane_tuples(T)],
+            )
+            for T in maps
+        ]
+
+    masked = run()
+    assert any(count for _, count, _ in masked)
+    with eliminating():
+        assert run() == masked
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,8 @@ def test_row_combinations_match_a_naive_loop_for_any_lead(case, data):
     # as its coefficients
     table = list(map(list, row_combinations(F, (0,) * ncols, rows)))
     assert table == [[F.sub(a, b) for a, b in zip(v, lead)] for v in expected]
+    if rows:  # a lead of 0 is the zero row of element rows, at any q
+        assert list(map(list, row_combinations(F, 0, rows))) == table
     if F.q == 2:
         packed = row_combinations(F, gf2_pack(lead), [gf2_pack(r) for r in rows])
         assert list(packed) == [gf2_pack(v) for v in expected]
