@@ -318,16 +318,15 @@ def iter_projective_points(field: Field, dim: int) -> Iterator[tuple]:
             yield head + tail
 
 
-def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> list:
-    """The list sum_j p_j rows[j] for each point p of
-    :func:`projective_points` (field, len(rows)), in that order: the points
-    led at column i, i downwards, are e_i plus every combination of the
-    later columns in product order, the :func:`row_combinations` of
-    rows[i + 1:] led by rows[i]."""
-    out = []
-    for i in range(len(rows) - 1, -1, -1):
-        out += row_combinations(field, rows[i], rows[i + 1 :])
-    return out
+def point_rows(field: Field, rows: Sequence[Sequence[int]]) -> Iterator:
+    """sum_j p_j rows[j] for each point p of :func:`projective_points`
+    (field, len(rows)), in that order, streamed: the points led at column
+    i, i downwards, are e_i plus every combination of the later columns in
+    product order, the :func:`row_combinations` of rows[i + 1:] led by
+    rows[i], so a reader holds one entry at a time."""
+    return itertools.chain.from_iterable(
+        row_combinations(field, rows[i], rows[i + 1 :]) for i in range(len(rows) - 1, -1, -1)
+    )
 
 
 class ZeroSetTable:

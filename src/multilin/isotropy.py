@@ -565,28 +565,26 @@ class _Leaves:
     """The leaves below one node of the walk at order 2: the first
     ``size`` children, charged by the walk.  When the walk is masked,
     Zb(r), the AND of the masks of blocks (key, r) over the node's keys,
-    is formed once per distinct base row r, and leaf i's kernel points are
-    the AND of Zb over base i's rows; otherwise a leaf stacks its rows."""
+    is formed once per distinct base row r, and leaf i's kernel points,
+    the AND of Zb over base i's rows, as leaf i is read; otherwise a leaf
+    stacks its rows."""
 
     def __init__(self, walk: _SlotWalk, prefix: tuple, keys: list, size: int):
         self.walk, self.prefix, self.keys, self.size = walk, prefix, keys, size
         self.known = [walk.blocks.setdefault(key, {}) for key in keys]
-        self.kernels = self._kernels() if walk.masked else None
 
-    def _kernels(self) -> list:
-        """Each leaf's mask of kernel points."""
+    def kernels(self) -> Iterator[int]:
+        """Each leaf's mask of kernel points, formed as it is read."""
         walk = self.walk
         zb = None
         for key in self.keys:
             masks = walk.key_masks(key)
             zb = masks if zb is None else [a & b for a, b in zip(zb, masks)]
-        kernels = []
         for at in walk.at[: self.size]:
             x = walk.table.full
             for j in at:
                 x &= zb[j]
-            kernels.append(x)
-        return kernels
+            yield x
 
     def head(self, i: int) -> tuple:
         """Leaf i's prefix: every slot but the last."""
@@ -607,8 +605,8 @@ class _Leaves:
         popcount when masked and by ``leaf_rank`` otherwise, stopping after
         the leaf that takes it past ``limit``."""
         field, n = self.walk.field, self.walk.n
-        if self.kernels is not None:
-            dims = map(self.walk.table.dim.__getitem__, map(int.bit_count, self.kernels))
+        if self.walk.masked:
+            dims = map(self.walk.table.dim.__getitem__, map(int.bit_count, self.kernels()))
         else:
             stacks = map(self.stack, range(self.size))
             dims = (n - leaf_rank(field, stack) if stack else n for stack in stacks)
@@ -623,8 +621,8 @@ class _Leaves:
         leaf: the set bits of its mask when masked, else its
         ``leaf_points`` looked up in the walk's ``bit``."""
         walk = self.walk
-        if self.kernels is not None:
-            for i, x in enumerate(self.kernels):
+        if walk.masked:
+            for i, x in enumerate(self.kernels()):
                 places = []
                 while x:
                     low = x & -x
@@ -646,14 +644,14 @@ class _Leaves:
         slot is free.  When masked, the leaves whose kernel has dimension
         below k are skipped, and only the others stack their rows."""
         walk = self.walk
-        if self.kernels is None:
+        if not walk.masked:
             for i in range(self.size):
                 stack = self.stack(i)
                 found = leaf_subspaces(walk.field, stack, walk.n, k) if stack else None
                 yield self.head(i), found
             return
         full, dim = walk.table.full, walk.table.dim
-        for i, x in enumerate(self.kernels):
+        for i, x in enumerate(self.kernels()):
             if x == full:
                 yield self.head(i), None
             elif dim[x.bit_count()] >= k:
@@ -661,10 +659,11 @@ class _Leaves:
 
 
 class _RootLeaf(_Leaves):
-    """The walk's one leaf at d = 1: the root, whose rows are T's own."""
+    """The walk's one leaf at d = 1: the root, whose rows are T's own;
+    masked, it yields the one mask the table ANDs from them."""
 
-    def _kernels(self) -> list:
-        return [self.walk.table.kernel(self.stack(0))]
+    def kernels(self) -> Iterator[int]:
+        yield self.walk.table.kernel(self.stack(0))
 
     def head(self, i: int) -> tuple:
         return self.prefix

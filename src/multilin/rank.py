@@ -23,9 +23,10 @@ slots:
   N x N matrix of lambda . T.  Again by scaling, lambda runs over zero and
   the (q^m - 1)/(q - 1) projective points.
 
-A kernel dimension is N less a rank, or, where the leaves are many enough
-to pay for it, the popcount of an AND of zero-set masks read off the
-table of P(F^N) kept by ``grassmann.zero_set_table`` (see :func:`zero_count`).
+A fixed slot's P children are the ``grassmann.point_rows`` of its N unit
+contractions, streamed.  A kernel dimension is N less a rank, or, where
+the leaves are many enough to pay for it, the popcount of an AND of
+zero-set masks off the table of P(F^N), ``grassmann.zero_set_table``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from math import log
 
 from .errors import DEFAULT_CAP, InvariantViolation, PreconditionError, check_cap
-from .grassmann import leaf_form, point_rows, projective_points, rank as matrix_rank, zero_set_table
+from .grassmann import leaf_form, point_rows, rank as matrix_rank, zero_set_table
 from .tensor import Tensor, _contract_first, _contract_slot
 
 
@@ -65,13 +66,13 @@ def zero_count(
       k of the m x N matrix left, P^(d-1) leaves.  At m = N both routes
       have as many leaves, and this one reads smaller matrices.
 
-    A leaf's k is N less a rank, unless the shape has at least 2P leaves
-    and P^2 fits the cap: then it is read off the shared table of P(F^N),
-    ``grassmann.zero_set_table``, whose P entries are thus at most half
-    the leaves, and a fixed slot's P children are the
-    ``grassmann.point_rows`` of its N unit contractions, one axpy per
-    child.  Elsewhere the table would cost more than it saves.  Either way
-    the cap is charged the route's leaves, before anything is formed.
+    A fixed slot's P children are the ``grassmann.point_rows`` of its N
+    unit contractions, one axpy each.  A leaf's k is N less a rank, unless
+    the shape has at least 2P leaves and P^2 fits the cap: then it is read
+    off the shared table of P(F^N), ``grassmann.zero_set_table``, whose P
+    entries are thus at most half the leaves.  Elsewhere the table would
+    cost more than it saves.  Either way the cap is charged the route's
+    leaves, before anything is formed.
     'raw' scans every vector tuple, with no kernel and no projective
     reduction.  Both give the same count, and any choice of kernel slot
     does too (multilinearity).
@@ -106,15 +107,12 @@ def zero_count(
     leaves = npts**s * ((q**m - 1) // (q - 1) if pairs else 1)
     check_cap(leaves, cap, "zero-set kernel scan")
     table = zero_set_table(field, n, cap) if 2 * npts <= leaves else None
-    points = projective_points(field, n, cap) if s and table is None else []
     units = [tuple(field.one if j == i else 0 for j in range(n)) for i in range(n)]
 
     def children(flat, level):
         """The P contractions of the fixed slot ``level`` slots above the
-        leaves, at the canonical points in order."""
+        leaves, at the canonical points in order, streamed."""
         slot, order = slots[s - level], len(free) + level
-        if table is None:
-            return (_contract_slot(field, flat, m, n, order, v, slot) for v in points)
         return point_rows(field, [_contract_slot(field, flat, m, n, order, e, slot) for e in units])
 
     def kernel_dim(flat):

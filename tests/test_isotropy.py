@@ -1117,6 +1117,37 @@ def test_masked_and_eliminating_d2_walks_agree_in_every_caller(q, eliminating):
         assert run() == masked
 
 
+@pytest.mark.parametrize("q, seed", [(4, 1), (5, 3)])
+def test_masked_leaves_form_each_mask_when_it_is_read(q, seed, monkeypatch, eliminating):
+    # (4,2,2) plane walks at d = 2 mask; the first witness is at leaf i
+    # (11 of 357 planes over F_4, 222 of 806 over F_5), so alpha_hom reads
+    # i + 1 masks, not one per plane
+    F = field_of_order(q)
+    T = random_tensor(F, 4, 2, 2, "hom", seed=seed)
+    planes = list(enumerate_grassmannian(F, 4, 2))
+    assert isotropy._SlotWalk(T, [V.rows for V in planes], DEFAULT_CAP).masked
+    kernels, drawn = isotropy._Leaves.kernels, []
+
+    def spy(leaves):
+        for x in kernels(leaves):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(isotropy._Leaves, "kernels", spy)
+    result = alpha_hom(T, 2)
+    i = planes.index(result.witness[0])
+    assert result.exhausted and len(drawn) == i + 1 < len(planes)
+
+    def run():
+        witness = tuple(V.rows for V in alpha_hom(T, 2).witness)
+        return witness, count_plane_tuples(T), isotropic_plane_tuples(T)
+
+    masked = run()
+    assert masked[0] == tuple(V.rows for V in result.witness)
+    with eliminating():
+        assert run() == masked
+
+
 # ---------------------------------------------------------------------------
 # the zero-set table shared per (F_q, n)
 # ---------------------------------------------------------------------------

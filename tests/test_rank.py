@@ -226,10 +226,32 @@ def test_table_shapes_match_raw_on_every_slot(tables, q, n, d, m):
     assert tables == [(q, n)] * d
 
 
-@pytest.mark.parametrize("q, n, d, m", [(7, 3, 3, 1), (289, 2, 2, 1), (3, 2, 3, 1), (5, 2, 1, 1)])
+@pytest.mark.parametrize(
+    "q, n, d, m", [(7, 3, 3, 1), (289, 2, 2, 1), (3, 2, 3, 1), (5, 2, 1, 1), (2, 3, 3, 1)]
+)
 def test_shapes_with_fewer_than_2p_leaves_keep_the_rank_leaf(tables, q, n, d, m):
     T = random_tensor(field_of_order(q), n, d, m, "hom", seed=41)
-    zero_count(T)
+    count = zero_count(T)
+    assert tables == []
+    if q ** (n * d) <= 10**4:
+        assert count == zero_count(T, method="raw")
+
+
+def test_a_fixed_slot_contracts_once_per_unit_vector(tables, monkeypatch):
+    # (7,3,3,1) takes the rank route (P = 57 leaves, under 2P); its fixed
+    # slot's 57 children are combinations of n = 3 unit contractions
+    T = random_tensor(field_of_order(7), 3, 3, 1, "hom", seed=41)
+    expected = [zero_count(T, kernel_slot=k) for k in range(3)]
+    assert expected == [expected[0]] * 3
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _contract_slot(*args)
+
+    monkeypatch.setattr(multilin.rank, "_contract_slot", spy)
+    assert zero_count(T) == expected[0]
+    assert len(calls) == 3
     assert tables == []
 
 
@@ -240,7 +262,7 @@ def test_point_rows_of_unit_contractions_are_the_point_contractions(q, n, d, slo
     units = [tuple(F.one if j == i else 0 for j in range(n)) for i in range(n)]
     rows = [_contract_slot(F, T.coeffs, 2, n, d, e, slot) for e in units]
     expected = [_contract_slot(F, T.coeffs, 2, n, d, v, slot) for v in projective_points(F, n)]
-    assert point_rows(F, rows) == expected
+    assert list(point_rows(F, rows)) == expected
 
 
 def test_zero_count_least_cap_on_both_leaves(tables):

@@ -309,9 +309,26 @@ def test_zero_set_table_of_the_empty_projective_space(q):
     # P(F^0) has no points, so the one functional vanishes on none of them
     F = field_of_order(q)
     form = leaf_form(F, [()])
-    assert point_rows(F, []) == []
+    assert list(point_rows(F, [])) == []
     assert zero_set_table(F, 0).kernel(form) == 0
     assert zero_set_table(F, 0).dimension(form) == 0
+
+
+def test_point_rows_form_only_the_rows_read(monkeypatch):
+    # P(F_7^6) has 19,608 points; the first row read is rows[5] itself,
+    # so a stream pays no axpy for it, where a list pays one per point
+    F = field_of_order(7)
+    rows = [[(3 * i + j) % 7 for j in range(4)] for i in range(6)]
+    axpy, scale = F.row_ops()
+    calls = []
+
+    def counted(acc, f, row):
+        calls.append(1)
+        return axpy(acc, f, row)
+
+    monkeypatch.setattr(F, "_row_ops", (counted, scale))
+    assert next(iter(point_rows(F, rows))) == rows[5]
+    assert len(calls) < 10
 
 
 @given(matrices(max_rows=4, max_cols=4))
@@ -326,4 +343,4 @@ def test_point_rows_are_the_combinations_at_each_canonical_point(case):
         for c, row in zip(p, rows):
             v = naive_axpy(F, v, c, row)
         expected.append(v)
-    assert point_rows(F, rows) == expected
+    assert list(point_rows(F, rows)) == expected
